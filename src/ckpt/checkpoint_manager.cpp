@@ -85,18 +85,9 @@ std::uint64_t CheckpointManager::CheckpointNow() {
   util::MutexLock io_lock(&io_mutex_);
 
   // Nothing folded since the last checkpoint: rewriting an identical
-  // bundle buys no replay bound and burns I/O.  Checked against the
-  // cheap watermark accessor first, so an idle cadence tick skips
-  // without paying for the full-model clone (which stalls concurrent
-  // folds).  (A first checkpoint is always worth writing — it seeds
-  // the fallback ladder.)
-  const std::uint64_t fold_watermark = folder_.fold_watermark();
-  {
-    util::MutexLock lock(&mutex_);
-    if (last_id_ != 0 && fold_watermark <= last_watermark_) return 0;
-  }
-
-  serve::ShadowSnapshot snapshot = folder_.SnapshotShadow();
+  // bundle buys no replay bound and burns I/O.  (A first checkpoint is
+  // always worth writing — it seeds the fallback ladder.)
+  const serve::FoldSnapshot snapshot = folder_.Snapshot();
   std::uint64_t id = 0;
   {
     util::MutexLock lock(&mutex_);

@@ -1,13 +1,14 @@
 // CheckpointManager — periodic crash-safe model snapshots + WAL
 // compaction.
 //
-// The write half of bounded-replay restart (ROADMAP open item 3): a
-// checkpoint persists the DeltaFolder's {shadow model, fold watermark}
-// pair so the next boot folds only the WAL suffix past the watermark
-// instead of replaying history from record zero.  One checkpoint is:
+// The write half of bounded-replay restart: a checkpoint persists the
+// DeltaFolder's {last published model, fold watermark} pair so the next
+// boot folds only the WAL suffix past the watermark instead of
+// replaying history from record zero.  One checkpoint is:
 //
-//   1. snapshot    folder.SnapshotShadow() — clone + watermark under
-//                  one lock, so the pair is consistent by construction
+//   1. snapshot    folder.Snapshot() — the shared model pointer +
+//                  watermark read under one lock, no copy, so the pair
+//                  is consistent by construction
 //   2. bundle      core::SaveModel to ckpt-<id>.model (format v2:
 //                  CRC'd sections, tmp+rename) + directory fsync,
 //                  then a full VerifyModel read-back — a checkpoint

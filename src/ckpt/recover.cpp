@@ -112,17 +112,21 @@ RecoveryResult Recover(const RecoverOptions& options) {
                      "point does not cover";
   }
 
-  core::CfsfModel& model = *result.model;
+  // The suffix folds as one batch, in lsn order, through the same
+  // WithRatings the live DeltaFolder uses.
+  const core::CfsfModel& start = *result.model;
+  std::vector<matrix::RatingTriple> suffix;
   for (const wal::RecoveredRecord& rec : records) {
     if (rec.lsn <= info.watermark) continue;  // already inside the bundle
     const matrix::RatingTriple& r = rec.record;
-    if (r.user < model.NumUsers() && r.item < model.NumItems()) {
-      model.InsertRating(r.user, r.item, r.value, r.timestamp);
-      ++info.replayed_records;
+    if (r.user < start.NumUsers() && r.item < start.NumItems()) {
+      suffix.push_back(r);
     } else {
       ++info.skipped_records;
     }
   }
+  info.replayed_records = suffix.size();
+  if (!suffix.empty()) result.model = result.model->WithRatings(suffix);
 
   info.recovery_us = std::chrono::duration<double, std::micro>(
                          std::chrono::steady_clock::now() - started)

@@ -17,7 +17,8 @@
 //   3. open the WAL (repair mode: torn tail truncated, tmp leftovers
 //      removed) and fold ONLY records with lsn > watermark — everything
 //      at or below it is already inside the bundle, so replaying it
-//      would double-fold;
+//      would double-fold.  The suffix folds in one
+//      CfsfModel::WithRatings call, the live DeltaFolder's fold;
 //   4. report: ckpt.recovery_replayed_records / ckpt.recovery_us /
 //      ckpt.recovery.fallbacks metrics, plus a RecoveryInfo the net
 //      layer renders into /healthz.

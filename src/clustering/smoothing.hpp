@@ -60,6 +60,8 @@ class ClusterModel {
   std::size_t num_items() const { return smoothed_.cols(); }
 
   std::uint32_t ClusterOf(matrix::UserId user) const;
+  /// ClusterOf for every user, in user order.
+  const std::vector<std::uint32_t>& assignments() const { return assignments_; }
   std::span<const std::size_t> cluster_sizes() const { return cluster_sizes_; }
 
   /// Δr_{C,i} (Eq. 8).  Fallback chain when |C_{u',i}| = 0: the global

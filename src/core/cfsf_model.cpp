@@ -87,32 +87,8 @@ void CfsfModel::Fit(const matrix::RatingMatrix& train) {
   profiler.End();
 
   // Step 3: smoothing (Eq. 7–8) and iCluster lists (Eq. 9) — recorded as
-  // the "smoothing" and "icluster" phases by Build itself.
-  clusters_ = cluster::ClusterModel::Build(train_, kmeans.assignments,
-                                           kconfig.num_clusters,
-                                           config_.parallel,
-                                           config_.deviation_shrinkage,
-                                           &profiler);
-
-  cluster_members_.assign(kconfig.num_clusters, {});
-  for (std::size_t u = 0; u < train_.num_users(); ++u) {
-    cluster_members_[kmeans.assignments[u]].push_back(
-        static_cast<matrix::UserId>(u));
-  }
-
-  latest_timestamp_ = 0;
-  if (train_.has_timestamps()) {
-    for (std::size_t u = 0; u < train_.num_users(); ++u) {
-      for (const auto ts : train_.UserRowTimestamps(static_cast<matrix::UserId>(u))) {
-        latest_timestamp_ = std::max(latest_timestamp_, ts);
-      }
-    }
-  }
-
-  {
-    util::MutexLock lock(&cache_mutex_);
-    cache_.assign(train_.num_users(), nullptr);
-  }
+  // the "smoothing" and "icluster" phases by ClusterModel::Build itself.
+  BuildClusters(kmeans.assignments, kconfig.num_clusters, &profiler);
   if constexpr (util::ChecksEnabled()) {
     train_.DebugValidate();
     gis_.DebugValidate();
@@ -146,29 +122,34 @@ std::unique_ptr<CfsfModel> CfsfModel::Restore(
   auto model = std::make_unique<CfsfModel>(config);
   model->train_ = std::move(train);
   model->gis_ = std::move(gis);
-  model->clusters_ = cluster::ClusterModel::Build(
-      model->train_, assignments, num_clusters, config.parallel,
-      config.deviation_shrinkage);
-  model->cluster_members_.assign(num_clusters, {});
-  for (std::size_t u = 0; u < model->train_.num_users(); ++u) {
-    model->cluster_members_[assignments[u]].push_back(
-        static_cast<matrix::UserId>(u));
+  model->BuildClusters(assignments, num_clusters);
+  model->fitted_ = true;
+  return model;
+}
+
+void CfsfModel::BuildClusters(std::span<const std::uint32_t> assignments,
+                              std::size_t num_clusters,
+                              obs::PhaseProfiler* profiler) {
+  clusters_ = cluster::ClusterModel::Build(train_, assignments, num_clusters,
+                                           config_.parallel,
+                                           config_.deviation_shrinkage,
+                                           profiler);
+  cluster_members_.assign(num_clusters, {});
+  for (std::size_t u = 0; u < train_.num_users(); ++u) {
+    cluster_members_[assignments[u]].push_back(static_cast<matrix::UserId>(u));
   }
-  model->latest_timestamp_ = 0;
-  if (model->train_.has_timestamps()) {
-    for (std::size_t u = 0; u < model->train_.num_users(); ++u) {
-      for (const auto ts :
-           model->train_.UserRowTimestamps(static_cast<matrix::UserId>(u))) {
-        model->latest_timestamp_ = std::max(model->latest_timestamp_, ts);
+
+  latest_timestamp_ = 0;
+  if (train_.has_timestamps()) {
+    for (std::size_t u = 0; u < train_.num_users(); ++u) {
+      for (const auto ts : train_.UserRowTimestamps(static_cast<matrix::UserId>(u))) {
+        latest_timestamp_ = std::max(latest_timestamp_, ts);
       }
     }
   }
-  {
-    util::MutexLock lock(&model->cache_mutex_);
-    model->cache_.assign(model->train_.num_users(), nullptr);
-  }
-  model->fitted_ = true;
-  return model;
+
+  util::MutexLock lock(&cache_mutex_);
+  cache_.assign(train_.num_users(), nullptr);
 }
 
 std::vector<SelectedUser> CfsfModel::ComputeTopKUsers(matrix::UserId user) const {
@@ -465,29 +446,33 @@ std::vector<CfsfModel::Recommendation> CfsfModel::RecommendTopN(
   return all;
 }
 
-void CfsfModel::InsertRating(matrix::UserId user, matrix::ItemId item,
-                             matrix::Rating value, matrix::Timestamp timestamp) {
-  CFSF_REQUIRE(fitted_, "InsertRating before Fit");
-  CFSF_REQUIRE(user < train_.num_users() && item < train_.num_items(),
-               "InsertRating ids out of range");
-  train_ = train_.WithRating(user, item, value, timestamp);
-  latest_timestamp_ = std::max(latest_timestamp_, timestamp);
+std::unique_ptr<CfsfModel> CfsfModel::WithRatings(
+    std::span<const matrix::RatingTriple> ratings) const {
+  CFSF_REQUIRE(fitted_, "WithRatings before Fit");
+  matrix::RatingMatrix train = train_.WithRatings(ratings);
 
-  // Refresh the touched GIS row in place (future-work extension).
-  const matrix::ItemId touched[] = {item};
-  gis_.RefreshItems(train_, touched);
+  // Refresh the touched GIS rows together (future-work extension).
+  std::vector<matrix::ItemId> touched;
+  touched.reserve(ratings.size());
+  for (const auto& r : ratings) touched.push_back(r.item);
+  sim::GlobalItemSimilarity gis = gis_;
+  gis.RefreshItems(train, touched);
 
   // Re-smooth with the existing cluster assignments; K-means itself is not
   // re-run (a full Fit() does that).
-  std::vector<std::uint32_t> assignments(train_.num_users());
-  for (std::size_t u = 0; u < train_.num_users(); ++u) {
-    assignments[u] = clusters_.ClusterOf(static_cast<matrix::UserId>(u));
-  }
-  clusters_ = cluster::ClusterModel::Build(train_, assignments,
-                                           clusters_.num_clusters(),
-                                           config_.parallel,
-                                           config_.deviation_shrinkage);
+  return Restore(config_, std::move(train), std::move(gis),
+                 clusters_.assignments());
+}
 
+void CfsfModel::InsertRating(matrix::UserId user, matrix::ItemId item,
+                             matrix::Rating value, matrix::Timestamp timestamp) {
+  const matrix::RatingTriple rating{user, item, value, timestamp};
+  std::unique_ptr<CfsfModel> next = WithRatings({&rating, 1});
+  train_ = std::move(next->train_);
+  gis_ = std::move(next->gis_);
+  clusters_ = std::move(next->clusters_);
+  cluster_members_ = std::move(next->cluster_members_);
+  latest_timestamp_ = next->latest_timestamp_;
   ClearCache();
 }
 
@@ -524,19 +509,9 @@ matrix::UserId CfsfModel::AddUser(
     }
   }
 
-  std::vector<std::uint32_t> assignments(train_.num_users());
-  for (std::size_t u = 0; u + 1 < train_.num_users(); ++u) {
-    assignments[u] = clusters_.ClusterOf(static_cast<matrix::UserId>(u));
-  }
-  assignments[new_user] = best_cluster;
-  clusters_ = cluster::ClusterModel::Build(train_, assignments,
-                                           clusters_.num_clusters(),
-                                           config_.parallel,
-                                           config_.deviation_shrinkage);
-  cluster_members_.assign(clusters_.num_clusters(), {});
-  for (std::size_t u = 0; u < train_.num_users(); ++u) {
-    cluster_members_[assignments[u]].push_back(static_cast<matrix::UserId>(u));
-  }
+  std::vector<std::uint32_t> assignments = clusters_.assignments();
+  assignments.push_back(best_cluster);
+  BuildClusters(assignments, clusters_.num_clusters());
 
   // Refresh the GIS rows of every item the newcomer rated.
   std::vector<matrix::ItemId> touched;
@@ -546,11 +521,6 @@ matrix::UserId CfsfModel::AddUser(
     touched.push_back(item);
   }
   gis_.RefreshItems(train_, touched);
-
-  {
-    util::MutexLock lock(&cache_mutex_);
-    cache_.assign(train_.num_users(), nullptr);
-  }
   return new_user;
 }
 

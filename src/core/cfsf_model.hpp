@@ -119,10 +119,17 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
   /// tests/diagnostics.  Results are similarity-descending.
   std::vector<SelectedUser> SelectTopKUsers(matrix::UserId user) const;
 
-  /// Incremental update (future-work extension): inserts/overwrites one
-  /// rating, refreshes the affected GIS row, re-smooths with the existing
-  /// cluster assignments, and drops stale caches.  Cluster assignments are
-  /// *not* recomputed — call Fit() for a full refresh.
+  /// Incremental update (future-work extension): a new model with
+  /// `ratings` folded in — one matrix merge (a later triple for the same
+  /// cell wins), one RefreshItems over the touched items, and smoothing
+  /// rebuilt through Restore() under the existing cluster assignments
+  /// (K-means is not re-run; call Fit() for that).  With an uncapped GIS
+  /// one batch equals the same records folded one at a time; capped GIS
+  /// rows depend on the batching.
+  std::unique_ptr<CfsfModel> WithRatings(
+      std::span<const matrix::RatingTriple> ratings) const;
+
+  /// WithRatings of one rating, adopted in place; drops stale caches.
   void InsertRating(matrix::UserId user, matrix::ItemId item,
                     matrix::Rating value, matrix::Timestamp timestamp = 0);
 
@@ -150,6 +157,12 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
  private:
   struct Components;
 
+  /// Smoothing and iCluster lists (Eq. 7–9) of train_ under
+  /// `assignments`, plus the member lists, the latest timestamp and an
+  /// empty neighbour cache — the set-up Fit, Restore and AddUser share.
+  void BuildClusters(std::span<const std::uint32_t> assignments,
+                     std::size_t num_clusters,
+                     obs::PhaseProfiler* profiler = nullptr);
   std::vector<SelectedUser> ComputeTopKUsers(matrix::UserId user) const;
   std::shared_ptr<const std::vector<SelectedUser>> TopKUsersCached(
       matrix::UserId user) const;

@@ -169,13 +169,7 @@ std::array<std::string, kNumSections> SerializeSections(
   {
     // Cluster assignments.
     std::ostringstream out(std::ios::binary);
-    const auto& train = model.train();
-    std::vector<std::uint32_t> assignments(train.num_users());
-    for (std::size_t u = 0; u < train.num_users(); ++u) {
-      assignments[u] =
-          model.cluster_model().ClusterOf(static_cast<matrix::UserId>(u));
-    }
-    WriteVector(out, assignments);
+    WriteVector(out, model.cluster_model().assignments());
     sections[3] = std::move(out).str();
   }
   return sections;

@@ -242,14 +242,22 @@ RatingMatrix RatingMatrix::KeepUserPrefix(std::size_t keep_users) const {
   return builder.Build();
 }
 
-RatingMatrix RatingMatrix::WithRating(UserId user, ItemId item, Rating value,
-                                      Timestamp timestamp) const {
-  CFSF_REQUIRE(user < num_users_ && item < num_items_,
-               "WithRating ids out of range");
+RatingMatrix RatingMatrix::WithRatings(
+    std::span<const RatingTriple> ratings) const {
   RatingMatrixBuilder builder(num_users_, num_items_);
   for (const auto& t : ToTriples()) builder.Add(t);
-  builder.Add(user, item, value, timestamp);
+  for (const auto& t : ratings) {
+    CFSF_REQUIRE(t.user < num_users_ && t.item < num_items_,
+                 "WithRatings ids out of range");
+    builder.Add(t);
+  }
   return builder.Build();
+}
+
+RatingMatrix RatingMatrix::WithRating(UserId user, ItemId item, Rating value,
+                                      Timestamp timestamp) const {
+  const RatingTriple rating{user, item, value, timestamp};
+  return WithRatings({&rating, 1});
 }
 
 }  // namespace cfsf::matrix

@@ -107,9 +107,12 @@ class RatingMatrix {
   /// ML_100/ML_200/ML_300 prefix construction.  Item space is unchanged.
   RatingMatrix KeepUserPrefix(std::size_t keep_users) const;
 
-  /// Returns a copy with one extra rating inserted (or overwritten).  Used
-  /// by the online protocol, which "inserts a record in the item-user
-  /// matrix" for each active user, and by the incremental-update extension.
+  /// Returns a copy with `ratings` inserted (or overwritten) in one
+  /// builder pass; a later triple for the same cell wins.
+  RatingMatrix WithRatings(std::span<const RatingTriple> ratings) const;
+
+  /// WithRatings of one rating.  Used by the online protocol, which
+  /// "inserts a record in the item-user matrix" for each active user.
   RatingMatrix WithRating(UserId user, ItemId item, Rating value,
                           Timestamp timestamp = 0) const;
 

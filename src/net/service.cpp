@@ -171,7 +171,7 @@ HttpResponse ServingService::HandleHealthz() {
                                  : "unavailable");
   if (options_.folder != nullptr) {
     // The fold backlog: durable records that can never fold because the
-    // user/item is outside the shadow's dimensions.  Nonzero and
+    // user/item is outside the folded model's dimensions.  Nonzero and
     // growing = clients are rating unenrolled entities.
     json.Key("fold_skipped").Uint(options_.folder->skipped_records());
     json.Key("fold_watermark").Uint(options_.folder->fold_watermark());

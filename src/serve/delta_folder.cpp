@@ -36,37 +36,25 @@ struct FoldMetrics {
 }  // namespace
 
 DeltaFolder::DeltaFolder(wal::WriteAheadLog& log, ModelGeneration& models,
-                         std::unique_ptr<core::CfsfModel> shadow,
+                         std::shared_ptr<core::CfsfModel> model,
                          const DeltaFolderOptions& options)
-    : log_(log), models_(models), options_(options), shadow_(std::move(shadow)) {
-  CFSF_REQUIRE(shadow_ != nullptr, "DeltaFolder: shadow model required");
+    : log_(log), models_(models), options_(options), model_(std::move(model)) {
+  CFSF_REQUIRE(model_ != nullptr, "DeltaFolder: model required");
   util::MutexLock lock(&mutex_);
   watermark_ = options_.initial_watermark;
 }
 
 DeltaFolder::~DeltaFolder() { Stop(); }
 
-std::unique_ptr<core::CfsfModel> DeltaFolder::CloneShadowLocked() {
-  // Restore() rebuilds smoothing deterministically from the persisted
-  // artefacts, so a clone predicts identically to the shadow without
-  // re-running K-means or the GIS build.
-  std::vector<std::uint32_t> assignments(shadow_->NumUsers());
-  for (matrix::UserId user = 0; user < assignments.size(); ++user) {
-    assignments[user] = shadow_->cluster_model().ClusterOf(user);
-  }
-  return core::CfsfModel::Restore(shadow_->config(), shadow_->train(),
-                                  shadow_->gis(), std::move(assignments));
-}
-
 std::uint64_t DeltaFolder::PublishNow() {
-  std::unique_ptr<core::CfsfModel> clone;
+  std::shared_ptr<core::CfsfModel> model;
   {
     util::MutexLock lock(&mutex_);
-    clone = CloneShadowLocked();
+    model = model_;
     ++publishes_;
   }
   FoldMetrics::Instance().publishes.Increment();
-  return models_.Install(std::move(clone));
+  return models_.Install(std::move(model));
 }
 
 std::size_t DeltaFolder::FoldOnce() {
@@ -75,8 +63,9 @@ std::size_t DeltaFolder::FoldOnce() {
   if (batch.empty()) return 0;
 
   FoldMetrics& metrics = FoldMetrics::Instance();
-  std::unique_ptr<core::CfsfModel> clone;
-  std::size_t folded = 0;
+  std::vector<matrix::RatingTriple> ratings;
+  ratings.reserve(batch.size());
+  std::shared_ptr<core::CfsfModel> published;
   std::size_t skipped = 0;
   std::uint64_t skipped_total = 0;
   bool warn_skipped = false;
@@ -86,25 +75,26 @@ std::size_t DeltaFolder::FoldOnce() {
     for (const wal::AckedRecord& acked : batch) {
       oldest_ack = std::min(oldest_ack, acked.acked_at);
       const matrix::RatingTriple& r = acked.record;
-      if (r.user < shadow_->NumUsers() && r.item < shadow_->NumItems()) {
-        shadow_->InsertRating(r.user, r.item, r.value, r.timestamp);
-        ++folded;
+      if (r.user < model_->NumUsers() && r.item < model_->NumItems()) {
+        ratings.push_back(r);
       } else {
         // Out-of-range ids are durable but not foldable; cold-start
         // enrolment (CfsfModel::AddUser) is a separate path.
         ++skipped;
       }
     }
-    folded_ += folded;
-    skipped_ += skipped;
-    // Drained is drained: a skipped record is permanently unfoldable
-    // against this shadow, so the watermark advances over it — the
-    // backlog is surfaced below, not replayed forever.
-    watermark_ = std::max(watermark_, batch.back().lsn);
-    if (folded > 0) {
-      clone = CloneShadowLocked();
+    if (!ratings.empty()) {
+      // Drained in lsn order, so a re-rated cell keeps its later rating.
+      model_ = model_->WithRatings(ratings);
+      published = model_;
       ++publishes_;
     }
+    folded_ += ratings.size();
+    skipped_ += skipped;
+    // Drained is drained: a skipped record is permanently unfoldable
+    // against this model, so the watermark advances over it — the
+    // backlog is surfaced below, not replayed forever.
+    watermark_ = std::max(watermark_, batch.back().lsn);
     if (skipped > 0) {
       const auto now = std::chrono::steady_clock::now();
       if (last_skip_warn_.time_since_epoch().count() == 0 ||
@@ -115,18 +105,18 @@ std::size_t DeltaFolder::FoldOnce() {
       }
     }
   }
-  metrics.folded.Increment(folded);
+  metrics.folded.Increment(ratings.size());
   metrics.skipped.Increment(skipped);
   if (warn_skipped) {
     CFSF_LOG_WARN << "delta folder: " << skipped
-                  << " record(s) outside the shadow's dimensions this "
+                  << " record(s) outside the model's dimensions this "
                      "batch ("
                   << skipped_total
                   << " total); they are durable but will never fold — "
                      "enrol the users/items or expect a stale backlog";
   }
-  if (clone != nullptr) {
-    models_.Install(std::move(clone));
+  if (published != nullptr) {
+    models_.Install(std::move(published));
     metrics.publishes.Increment();
     metrics.staleness_us.Set(std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - oldest_ack)
@@ -165,17 +155,18 @@ void DeltaFolder::Loop() {
     try {
       FoldOnce();
     } catch (const util::Error&) {
-      // A fold failure (e.g. an injected fault inside InsertRating)
-      // must not kill the thread; the records of this batch are lost to
-      // the fold but remain in the log for the next boot's replay.
+      // A fold failure (e.g. an injected fault inside WithRatings) must
+      // not kill the thread; the model is untouched, and the records of
+      // this batch are lost to the fold but remain in the log for the
+      // next boot's replay.
     }
     util::SleepFor(options_.poll_interval);
   }
 }
 
-ShadowSnapshot DeltaFolder::SnapshotShadow() {
+FoldSnapshot DeltaFolder::Snapshot() const {
   util::MutexLock lock(&mutex_);
-  return ShadowSnapshot{CloneShadowLocked(), watermark_};
+  return FoldSnapshot{model_, watermark_};
 }
 
 std::uint64_t DeltaFolder::fold_watermark() const {

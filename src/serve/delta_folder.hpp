@@ -1,32 +1,34 @@
 // DeltaFolder — folds durably acked ratings into the serving model.
 //
-// The online half of ROADMAP open item 3: the WAL makes a rating
+// The online half of durable ingestion: the WAL makes a rating
 // durable, this folder makes it *visible*.  A background thread drains
-// the log's acked queue, applies each record to a privately owned
-// shadow model via CfsfModel::InsertRating (the incremental path: GIS
-// co-rating accumulators are additive, smoothing is rebuilt from the
-// existing cluster assignments — no K-means restart), and publishes a
-// deterministic clone of the shadow through ModelGeneration::Install,
-// the same hot-swap path the mid-traffic soak already proves.  Requests
-// in flight keep the generation they pinned; the next request sees the
-// fold.
+// the log's acked queue, folds each drained batch with one
+// CfsfModel::WithRatings call (no K-means restart) and publishes the
+// new immutable model through ModelGeneration::Install, the same
+// hot-swap path the mid-traffic soak already proves.  The folder keeps
+// a shared pointer to the model it last published as the base of the
+// next fold; it never mutates or copies a model.  Requests in flight
+// keep the generation they pinned; the next request sees the fold.
 //
 // Staleness — the time from a record's durable ack to the generation
 // swap that makes it predictable — is first-class: each publish sets
 // the wal.staleness_us gauge to the oldest drained record's ack-to-
 // publish latency.  wal.folded_records / wal.fold.skipped /
 // wal.fold.publishes count the traffic (skipped = user or item outside
-// the shadow's dimensions; enrolment is AddUser's job, not the
+// the model's dimensions; enrolment is AddUser's job, not the
 // folder's).  Skipped records are surfaced, not silent: /healthz
 // reports the backlog and the folder logs a rate-limited warning, so an
 // out-of-matrix flood is an operator signal rather than a quiet metric.
 //
 // The folder is also the checkpoint subsystem's snapshot source: it
 // tracks the fold watermark — the highest WAL lsn drained into the
-// shadow (folded *or* skipped; a skipped record is permanently
+// model (folded *or* skipped; a skipped record is permanently
 // unfoldable, so replaying it after a restart changes nothing) — and
-// SnapshotShadow() returns {clone, watermark} under one lock, the
-// consistent pair ckpt::CheckpointManager persists.
+// Snapshot() returns {last published model, watermark} under one lock,
+// the consistent pair ckpt::CheckpointManager persists.  It is not
+// ModelGeneration::Active(): a bundle swapped in by LoadAndSwap holds
+// none of the folded records, so checkpointing it at the fold watermark
+// would lose acked ratings once compaction runs.
 #pragma once
 
 #include <chrono>
@@ -46,7 +48,7 @@ struct DeltaFolderOptions {
   /// Drain cadence of the background thread (also the Stop() latency
   /// bound).
   std::chrono::milliseconds poll_interval{20};
-  /// WAL lsn already folded into the shadow at construction — the
+  /// WAL lsn already folded into the model at construction — the
   /// checkpoint watermark recovery restored from, so the fold watermark
   /// never moves backwards across a restart.
   std::uint64_t initial_watermark = 0;
@@ -56,28 +58,28 @@ struct DeltaFolderOptions {
 
 /// A consistent {model, watermark} pair: every WAL record with
 /// lsn <= watermark is folded into (or recorded as unfoldable against)
-/// the clone.  What a checkpoint persists.
-struct ShadowSnapshot {
-  std::unique_ptr<core::CfsfModel> model;
+/// the model the folder last published.  What a checkpoint persists.
+struct FoldSnapshot {
+  std::shared_ptr<const core::CfsfModel> model;
   std::uint64_t watermark = 0;
 };
 
 class DeltaFolder {
  public:
-  /// `log` and `models` must outlive the folder.  `shadow` is the
-  /// folder's private fitted model — typically the same fit the caller
-  /// installed (a clone of) as generation 1; keep them in sync by
-  /// installing via PublishNow() rather than Install() directly.
+  /// `log` and `models` must outlive the folder.  `model` is the fitted
+  /// model the first fold builds on; make it visible with PublishNow()
+  /// rather than Install() directly, so that what is served is what the
+  /// folder folds into and checkpoints.
   DeltaFolder(wal::WriteAheadLog& log, ModelGeneration& models,
-              std::unique_ptr<core::CfsfModel> shadow,
+              std::shared_ptr<core::CfsfModel> model,
               const DeltaFolderOptions& options = {});
   ~DeltaFolder();  // Stop()
 
   DeltaFolder(const DeltaFolder&) = delete;
   DeltaFolder& operator=(const DeltaFolder&) = delete;
 
-  /// Installs a clone of the shadow as the active generation (first
-  /// boot, or forcing visibility in tests).  Returns the generation id.
+  /// Installs the folder's model as the active generation (first boot,
+  /// or forcing visibility in tests).  Returns the generation id.
   std::uint64_t PublishNow() CFSF_EXCLUDES(mutex_);
 
   /// One synchronous drain → fold → publish cycle; returns how many
@@ -87,18 +89,17 @@ class DeltaFolder {
   void Start() CFSF_EXCLUDES(mutex_);
   void Stop() CFSF_EXCLUDES(mutex_);
 
-  /// Clones the shadow and its fold watermark under one lock — the
-  /// checkpointable state.  Concurrent folds serialize behind it.
-  ShadowSnapshot SnapshotShadow() CFSF_EXCLUDES(mutex_);
+  /// The folder's model and its fold watermark, read under one lock —
+  /// the checkpointable state.  No copy: the model is shared.
+  FoldSnapshot Snapshot() const CFSF_EXCLUDES(mutex_);
 
   std::uint64_t folded_records() const CFSF_EXCLUDES(mutex_);
   std::uint64_t skipped_records() const CFSF_EXCLUDES(mutex_);
   std::uint64_t publishes() const CFSF_EXCLUDES(mutex_);
-  /// Highest WAL lsn drained into the shadow (folded or skipped).
+  /// Highest WAL lsn drained into the model (folded or skipped).
   std::uint64_t fold_watermark() const CFSF_EXCLUDES(mutex_);
 
  private:
-  std::unique_ptr<core::CfsfModel> CloneShadowLocked() CFSF_REQUIRES(mutex_);
   void Loop();
 
   wal::WriteAheadLog& log_;
@@ -106,7 +107,9 @@ class DeltaFolder {
   const DeltaFolderOptions options_;
 
   mutable util::Mutex mutex_;
-  std::unique_ptr<core::CfsfModel> shadow_ CFSF_GUARDED_BY(mutex_);
+  /// The last published model (or the constructor's, before the first
+  /// fold).  Never mutated: each fold replaces the pointer.
+  std::shared_ptr<core::CfsfModel> model_ CFSF_GUARDED_BY(mutex_);
   std::uint64_t folded_ CFSF_GUARDED_BY(mutex_) = 0;
   std::uint64_t skipped_ CFSF_GUARDED_BY(mutex_) = 0;
   std::uint64_t publishes_ CFSF_GUARDED_BY(mutex_) = 0;

@@ -28,7 +28,7 @@ struct SwapMetrics {
 
 }  // namespace
 
-std::uint64_t ModelGeneration::SwapIn(std::unique_ptr<core::CfsfModel> model) {
+std::uint64_t ModelGeneration::Install(std::shared_ptr<core::CfsfModel> model) {
   std::uint64_t generation = 0;
   {
     util::MutexLock lock(&mutex_);
@@ -41,11 +41,6 @@ std::uint64_t ModelGeneration::SwapIn(std::unique_ptr<core::CfsfModel> model) {
   return generation;
 }
 
-std::uint64_t ModelGeneration::Install(
-    std::unique_ptr<core::CfsfModel> model) {
-  return SwapIn(std::move(model));
-}
-
 std::uint64_t ModelGeneration::LoadAndSwap(
     const std::string& path, const core::LoadRetryOptions& retry) {
   try {
@@ -54,7 +49,7 @@ std::uint64_t ModelGeneration::LoadAndSwap(
     CFSF_FAILPOINT("serve.swap.load");
     core::VerifyModel(path);
     auto model = core::LoadModelWithRetry(path, retry);
-    return SwapIn(std::move(model));
+    return Install(std::move(model));
   } catch (...) {
     SwapMetrics::Get().failures.Increment();
     throw;

@@ -32,9 +32,11 @@ namespace cfsf::serve {
 /// One immutable generation: the fitted model plus the degradation
 /// ladder wrapped around it.  Requests hold it by shared_ptr, so a
 /// generation outlives its replacement until the last request finishes.
+/// The model itself is shared too: the DeltaFolder keeps the model it
+/// last published as the base of its next fold and its checkpoints.
 class ServableModel {
  public:
-  ServableModel(std::unique_ptr<core::CfsfModel> model,
+  ServableModel(std::shared_ptr<core::CfsfModel> model,
                 const robust::FallbackOptions& ladder_options,
                 std::uint64_t generation)
       : model_(std::move(model)),
@@ -46,7 +48,7 @@ class ServableModel {
   std::uint64_t generation() const { return generation_; }
 
  private:
-  std::unique_ptr<core::CfsfModel> model_;  // declared before ladder_: the
+  std::shared_ptr<core::CfsfModel> model_;  // declared before ladder_: the
                                             // ladder references *model_
   robust::FallbackPredictor ladder_;
   std::uint64_t generation_;
@@ -59,8 +61,9 @@ class ModelGeneration {
       : ladder_options_(ladder_options) {}
 
   /// Installs an already-fitted in-memory model (tests, first boot from
-  /// a fit in the same process).  Returns the new generation id.
-  std::uint64_t Install(std::unique_ptr<core::CfsfModel> model)
+  /// a fit in the same process, fold publishes).  Returns the new
+  /// generation id.
+  std::uint64_t Install(std::shared_ptr<core::CfsfModel> model)
       CFSF_EXCLUDES(mutex_);
 
   /// Loads `path` (CRC-audited via VerifyModel, transient faults
@@ -79,9 +82,6 @@ class ModelGeneration {
   std::uint64_t ActiveGeneration() const CFSF_EXCLUDES(mutex_);
 
  private:
-  std::uint64_t SwapIn(std::unique_ptr<core::CfsfModel> model)
-      CFSF_EXCLUDES(mutex_);
-
   const robust::FallbackOptions ladder_options_;
   mutable util::Mutex mutex_;
   std::shared_ptr<const ServableModel> active_ CFSF_GUARDED_BY(mutex_);

@@ -2,9 +2,9 @@
 // sanitizer presets): the whole checkpointed-ingestion pipeline under
 // concurrency — parallel appenders, the DeltaFolder's background fold
 // thread, the CheckpointManager's background checkpoint+compact thread,
-// and a reader hammering the snapshot/status surfaces — followed by a
-// full consistency audit and a cold recovery of whatever the run left
-// on disk.
+// and a reader hammering the snapshot/status surfaces and predicting
+// through the shared active model — followed by a full consistency
+// audit and a cold recovery of whatever the run left on disk.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -101,17 +101,29 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
     }
 
     // Reader: hammers every cross-thread surface the checkpointer and
-    // /healthz use while the writers run.
+    // /healthz use while the writers run, and predicts through the
+    // active generation.  That model object is shared, not cloned: the
+    // checkpointer saves it and the folder derives the next one from it
+    // while these predicts fill and hit its top-K cache.
     std::atomic<bool> stop_reader{false};
     std::thread reader([&] {
       while (!stop_reader.load(std::memory_order_acquire)) {
-        const serve::ShadowSnapshot snapshot = folder.SnapshotShadow();
+        const serve::FoldSnapshot snapshot = folder.Snapshot();
         ASSERT_NE(snapshot.model, nullptr);
         ASSERT_LE(snapshot.watermark, log.next_lsn() - 1);
         (void)manager.status();
         (void)folder.fold_watermark();
         (void)folder.skipped_records();
-        (void)models.Active();
+        const auto active = models.Active();
+        ASSERT_NE(active, nullptr);
+        const core::CfsfModel& model = active->model();
+        for (matrix::UserId user = 0; user < kUsers; user += 3) {
+          const auto item = static_cast<matrix::ItemId>(user % kItems);
+          // First predict on this generation: a cold top-K entry; the
+          // second hits the entry the first one cached.
+          const double cold = model.Predict(user, item);
+          ASSERT_EQ(model.Predict(user, item), cold);
+        }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });

@@ -328,7 +328,7 @@ TEST_F(CkptTest, FoldWatermarkTracksDrainedRecordsIncludingSkips) {
   EXPECT_EQ(folder.fold_watermark(), 3u);
   EXPECT_EQ(folder.skipped_records(), 1u);
 
-  const serve::ShadowSnapshot snapshot = folder.SnapshotShadow();
+  const serve::FoldSnapshot snapshot = folder.Snapshot();
   ASSERT_NE(snapshot.model, nullptr);
   EXPECT_EQ(snapshot.watermark, 3u);
   ExpectFoldedUpTo(*snapshot.model, 2);
@@ -469,6 +469,70 @@ TEST_F(CkptTest, RecoverFromACheckpointReplaysOnlyTheSuffix) {
   EXPECT_EQ(result.info.watermark, 12u);
   EXPECT_EQ(result.info.replayed_records, 5u) << "replay was not bounded";
   ExpectFoldedUpTo(*result.model, 17);
+}
+
+TEST_F(CkptTest, RecoveredModelPredictsExactlyLikeTheLiveGeneration) {
+  // Metamorphic check of checkpoint -> recover -> predict: the live side
+  // folds in several small batches on both sides of a checkpoint; the
+  // recovered side loads the checkpoint and folds the whole WAL suffix
+  // as one batch.  With the default (uncapped) GIS both must answer
+  // every cell bit-identically.
+  std::shared_ptr<const serve::ServableModel> live;
+  {
+    wal::WriteAheadLog log(wal_dir_);
+    serve::ModelGeneration models;
+    serve::DeltaFolder folder(log, models, TinySeed());
+    folder.PublishNow();
+    ckpt::CheckpointOptions options;
+    options.dir = ckpt_dir_;
+    ckpt::CheckpointManager manager(folder, log, options);
+    // RecordForLsn with the items spread out too, so that each batch
+    // refreshes several GIS rows.
+    auto record = [](std::uint64_t lsn) {
+      matrix::RatingTriple r = RecordForLsn(lsn);
+      r.item = static_cast<matrix::ItemId>((lsn * 7) % kItems);
+      return r;
+    };
+    // Appends `fresh` records for new cells plus a re-rating of the cell
+    // of lsn `rerate` (0 = none), then folds them as one live batch.
+    auto fold = [&](int fresh, std::uint64_t rerate) {
+      for (int k = 0; k < fresh; ++k) log.Append(record(log.next_lsn()), true);
+      if (rerate != 0) {
+        matrix::RatingTriple again = record(rerate);
+        again.value = again.value == 5.0F ? 1.0F : 5.0F;
+        log.Append(again, true);
+      }
+      EXPECT_EQ(folder.FoldOnce(), static_cast<std::size_t>(fresh) +
+                                       (rerate != 0 ? 1 : 0));
+    };
+    fold(3, 0);
+    fold(2, 0);
+    EXPECT_EQ(manager.CheckpointNow(), 1u);
+    // Re-rate a cell folded before the checkpoint, and one cell in two
+    // live batches that recovery folds as one.
+    fold(4, 2);
+    fold(1, 0);
+    fold(2, 7);
+    live = models.Active();
+  }
+
+  ckpt::RecoverOptions options;
+  options.ckpt_dir = ckpt_dir_;
+  options.wal_dir = wal_dir_;
+  options.seed_model = TinySeed;
+  const ckpt::RecoveryResult result = ckpt::Recover(options);
+  ASSERT_EQ(result.info.source, "checkpoint");
+  EXPECT_EQ(result.info.watermark, 5u);
+  EXPECT_EQ(result.info.replayed_records, 9u);
+  ASSERT_NE(live, nullptr);
+  EXPECT_EQ(result.model->train().ToTriples(),
+            live->model().train().ToTriples());
+  for (matrix::UserId u = 0; u < kUsers; ++u) {
+    for (matrix::ItemId i = 0; i < kItems; ++i) {
+      ASSERT_EQ(result.model->Predict(u, i), live->model().Predict(u, i))
+          << "user " << u << ", item " << i;
+    }
+  }
 }
 
 TEST_F(CkptTest, RecoverFallsBackToThePreviousCheckpointOnCorruption) {

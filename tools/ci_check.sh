@@ -43,6 +43,11 @@
 #      emit a BENCH_smoke.json that parses and carries latency percentiles,
 #      plus a corrupted-bundle check: verify-model must reject a bit flip
 #      with a nonzero (but clean) exit
+#   9. perfbench self-test                         : bench/perfbench/run.py
+#      --self-test in its own build dir (build/perfbench).  It builds
+#      perfbench_loadgen, which no other tier compiles and which calls
+#      into src/ (model folds, Restore, the serving stack, ckpt::Recover),
+#      so an API change breaks this gate rather than the benchmark run
 #
 # Any sanitizer report fails the corresponding test (UBSan is built
 # non-recoverable, TSan runs with halt_on_error=1), so a zero exit here
@@ -310,6 +315,10 @@ if [[ "${RUN_BENCH}" -eq 1 ]]; then
   if "${CLI}" verify-model --model="${BUNDLE_DIR}/m.bin" 2>/dev/null; then
     echo "ci_check: verify-model accepted a corrupted bundle" >&2; exit 1
   fi
+
+  echo "=== perfbench self-test (build/perfbench) ==="
+  CARGO_TARGET_DIR="${ROOT}/build/perfbench" \
+    python3 "${ROOT}/bench/perfbench/run.py" --self-test
 fi
 
 echo "ci_check: all tiers passed"
