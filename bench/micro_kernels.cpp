@@ -143,6 +143,25 @@ void BM_PredictWarmCache(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictWarmCache);
 
+// One top-n per iteration, rotating over users with every top-K entry
+// warm.  n = 1000 exceeds every user's candidate count, so nothing can be
+// pruned: it guards the cost of bounding and sorting when all candidates
+// are fused anyway.
+void BM_RecommendTopN(benchmark::State& state) {
+  const auto& model = FittedModel();
+  const std::size_t num_users = model.train().num_users();
+  for (std::size_t u = 0; u < num_users; ++u) {
+    model.SelectTopKUsers(static_cast<matrix::UserId>(u));
+  }
+  const auto n = static_cast<std::size_t>(state.range(0));
+  matrix::UserId user = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.RecommendTopN(user, n));
+    user = static_cast<matrix::UserId>((user + 1) % num_users);
+  }
+}
+BENCHMARK(BM_RecommendTopN)->Arg(10)->Arg(1000)->Unit(benchmark::kMicrosecond);
+
 void BM_OfflinePhase(benchmark::State& state) {
   const auto& m = World();
   for (auto _ : state) {

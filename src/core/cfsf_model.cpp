@@ -32,6 +32,8 @@ struct CfsfMetrics {
   obs::Counter& cache_hit;
   obs::Counter& cache_miss;
   obs::Histogram& topk_pool_size;
+  obs::Counter& topn_candidates;
+  obs::Counter& topn_fused;
 
   static const CfsfMetrics& Get() {
     static const CfsfMetrics metrics = [] {
@@ -50,6 +52,8 @@ struct CfsfMetrics {
           registry.GetCounter(obs::names::kCfsfTopkCacheHit),
           registry.GetCounter(obs::names::kCfsfTopkCacheMiss),
           registry.GetHistogram(obs::names::kCfsfTopkPoolSize, obs::SizeBuckets()),
+          registry.GetCounter(obs::names::kCfsfTopnCandidates),
+          registry.GetCounter(obs::names::kCfsfTopnFused),
       };
     }();
     return metrics;
@@ -276,24 +280,16 @@ std::optional<double> CfsfModel::PredictSirOnly(matrix::UserId user,
   return SirEstimate(user, item, gis_.TopM(item, config_.top_m_items));
 }
 
-FusionBreakdown CfsfModel::PredictWithNeighbors(
+// --- Step 1: SIR′, and SUR′ — the mean-centred ratings of the top-K
+// like-minded users on the active item (Eq. 12, second line).
+FusionBreakdown CfsfModel::SirSurEstimates(
     matrix::UserId user, matrix::ItemId item,
+    std::span<const sim::Neighbor> top_items,
     std::span<const SelectedUser> neighbors) const {
-  CFSF_FAILPOINT("cfsf.predict");
-  const auto top_items = gis_.TopM(item, config_.top_m_items);
-  const double user_mean = train_.UserMean(user);
-
   FusionBreakdown result;
-
-  const bool center = config_.center_on_item_means;
-  const double item_anchor = center ? train_.ItemMean(item) : 0.0;
-
   if (config_.use_sir) {
     result.sir = SirEstimate(user, item, top_items);
   }
-
-  // --- SUR′: mean-centred ratings of the top-K like-minded users on the
-  // active item (Eq. 12, second line).
   if (config_.use_sur) {
     double num = 0.0;
     double den = 0.0;
@@ -306,67 +302,115 @@ FusionBreakdown CfsfModel::PredictWithNeighbors(
       num += w * t.similarity * (value - clusters_.UserMean(t.user));
       den += w * t.similarity;
     }
-    if (den > 0.0) result.sur = user_mean + num / den;
+    if (den > 0.0) result.sur = train_.UserMean(user) + num / den;
   }
+  return result;
+}
 
-  // --- SUIR′: the like-minded users' ratings on the similar items,
-  // weighted by the Eq. 13 cross similarity (Eq. 12, third line).
-  if (config_.use_suir) {
-    double num = 0.0;
-    double den = 0.0;
-    const double w_original = 1.0 - config_.epsilon;
-    const double w_smoothed = config_.epsilon;
-    for (const auto& t : neighbors) {
-      const auto profile = clusters_.SmoothedProfile(t.user);
-      const auto mask = clusters_.OriginalMask(t.user);
-      const double user_sim = t.similarity;
-      const double user_sim_sq = user_sim * user_sim;
-      for (const auto& s : top_items) {
-        const bool original = mask[s.index] != 0;
-        if (!original && !config_.local_matrix_smoothed) continue;
-        // Eq. 13 inlined with the per-neighbour square hoisted out.
-        const double item_sim = s.similarity;
-        const double sum_sq = item_sim * item_sim + user_sim_sq;
-        if (sum_sq <= 0.0) continue;
-        const double cross = item_sim * user_sim / std::sqrt(sum_sq);
-        if (cross <= 0.0) continue;
-        double w = original ? w_original : w_smoothed;
-        if (original && config_.time_decay) w *= TimeDecayWeight(t.user, s.index);
-        const double value = center ? profile[s.index] -
-                                          train_.ItemMean(s.index)
-                                    : profile[s.index];
-        num += w * cross * value;
-        den += w * cross;
-      }
+// --- Step 2: SUIR′, the like-minded users' ratings on the similar items
+// weighted by the Eq. 13 cross similarity (Eq. 12, third line).  A mean
+// of value terms under non-negative weights, so it never exceeds the
+// item anchor plus SuirTermBound — the bound RecommendTopN prunes with.
+std::optional<double> CfsfModel::SuirEstimate(
+    matrix::ItemId item, std::span<const sim::Neighbor> top_items,
+    std::span<const SelectedUser> neighbors) const {
+  const bool center = config_.center_on_item_means;
+  double num = 0.0;
+  double den = 0.0;
+  const double w_original = 1.0 - config_.epsilon;
+  const double w_smoothed = config_.epsilon;
+  for (const auto& t : neighbors) {
+    const auto profile = clusters_.SmoothedProfile(t.user);
+    const auto mask = clusters_.OriginalMask(t.user);
+    const double user_sim = t.similarity;
+    const double user_sim_sq = user_sim * user_sim;
+    for (const auto& s : top_items) {
+      const bool original = mask[s.index] != 0;
+      if (!original && !config_.local_matrix_smoothed) continue;
+      // Eq. 13 inlined with the per-neighbour square hoisted out.
+      const double item_sim = s.similarity;
+      const double sum_sq = item_sim * item_sim + user_sim_sq;
+      if (sum_sq <= 0.0) continue;
+      const double cross = item_sim * user_sim / std::sqrt(sum_sq);
+      if (cross <= 0.0) continue;
+      double w = original ? w_original : w_smoothed;
+      if (original && config_.time_decay) w *= TimeDecayWeight(t.user, s.index);
+      const double value = center ? profile[s.index] -
+                                        train_.ItemMean(s.index)
+                                  : profile[s.index];
+      num += w * cross * value;
+      den += w * cross;
     }
-    if (den > 0.0) result.suir = item_anchor + num / den;
   }
+  if (!(den > 0.0)) return std::nullopt;
+  const double item_anchor = center ? train_.ItemMean(item) : 0.0;
+  return item_anchor + num / den;
+}
 
-  // --- Eq. 14, renormalised over the components that produced a value.
+// --- Step 3: Eq. 14, renormalised over the components that produced a
+// value.  Non-decreasing in SUIR′ (δ ≥ 0), rounding included.
+double CfsfModel::Blend(const FusionBreakdown& parts, double user_mean) const {
   double weight_sum = 0.0;
   double value = 0.0;
-  if (result.sir) {
+  if (parts.sir) {
     const double w = (1.0 - config_.delta) * (1.0 - config_.lambda);
-    value += w * *result.sir;
+    value += w * *parts.sir;
     weight_sum += w;
   }
-  if (result.sur) {
+  if (parts.sur) {
     const double w = (1.0 - config_.delta) * config_.lambda;
-    value += w * *result.sur;
+    value += w * *parts.sur;
     weight_sum += w;
   }
-  if (result.suir) {
-    value += config_.delta * *result.suir;
+  if (parts.suir) {
+    value += config_.delta * *parts.suir;
     weight_sum += config_.delta;
   }
-  result.fused = weight_sum > 0.0 ? value / weight_sum : user_mean;
-  CFSF_CHECK_FINITE(result.fused, "Eq. 14 fused prediction");
+  return weight_sum > 0.0 ? value / weight_sum : user_mean;
+}
+
+void CfsfModel::CompleteFusion(matrix::UserId user, matrix::ItemId item,
+                               std::span<const sim::Neighbor> top_items,
+                               std::span<const SelectedUser> neighbors,
+                               FusionBreakdown& parts) const {
+  CFSF_FAILPOINT("cfsf.predict");
+  if (config_.use_suir) {
+    parts.suir = SuirEstimate(item, top_items, neighbors);
+  }
+  parts.fused = Blend(parts, train_.UserMean(user));
+  CFSF_CHECK_FINITE(parts.fused, "Eq. 14 fused prediction");
 
   const auto& metrics = CfsfMetrics::Get();
-  if (result.sir) metrics.sir_used.Increment();
-  if (result.sur) metrics.sur_used.Increment();
-  if (result.suir) metrics.suir_used.Increment();
+  if (parts.sir) metrics.sir_used.Increment();
+  if (parts.sur) metrics.sur_used.Increment();
+  if (parts.suir) metrics.suir_used.Increment();
+}
+
+FusionBreakdown CfsfModel::PredictWithNeighbors(
+    matrix::UserId user, matrix::ItemId item,
+    std::span<const SelectedUser> neighbors) const {
+  const auto top_items = gis_.TopM(item, config_.top_m_items);
+  FusionBreakdown result = SirSurEstimates(user, item, top_items, neighbors);
+  CompleteFusion(user, item, top_items, neighbors, result);
   return result;
+}
+
+std::optional<double> CfsfModel::SuirTermBound(
+    std::span<const SelectedUser> neighbors) const {
+  const bool center = config_.center_on_item_means;
+  std::optional<double> bound;
+  for (const auto& t : neighbors) {
+    const auto profile = clusters_.SmoothedProfile(t.user);
+    const auto mask = clusters_.OriginalMask(t.user);
+    for (std::size_t j = 0; j < profile.size(); ++j) {
+      if (!mask[j] && !config_.local_matrix_smoothed) continue;
+      const double value =
+          center ? profile[j] - train_.ItemMean(static_cast<matrix::ItemId>(j))
+                 : profile[j];
+      if (!bound || value > *bound) bound = value;
+    }
+  }
+  return bound;
 }
 
 double CfsfModel::Predict(matrix::UserId user, matrix::ItemId item) const {
@@ -425,25 +469,84 @@ std::vector<CfsfModel::Recommendation> CfsfModel::RecommendTopN(
     matrix::UserId user, std::size_t n) const {
   CFSF_REQUIRE(fitted_, "RecommendTopN before Fit");
   CFSF_REQUIRE(user < train_.num_users(), "user id out of range");
-  const auto neighbors = TopKUsersCached(user);
+  if (n == 0) return {};
+  const auto selected = TopKUsersCached(user);
+  const std::span<const SelectedUser> neighbors = *selected;
   const auto mask = clusters_.OriginalMask(user);
+  const double user_mean = train_.UserMean(user);
 
-  std::vector<Recommendation> all;
-  all.reserve(train_.num_items());
+  // Covers the rounding of SUIR′'s K×M weighted mean (~1e-12 on the 1–5
+  // scale) with room to spare.
+  constexpr double kSlack = 1e-9;
+  const std::optional<double> term_bound =
+      config_.use_suir ? SuirTermBound(neighbors) : std::nullopt;
+
+  // Step 1 for every unrated item, and an upper bound on its fused score:
+  // the blend without SUIR′, or with SUIR′ at its ceiling, whichever is
+  // larger (the blend never decreases as SUIR′ grows).
+  struct Candidate {
+    double bound;
+    matrix::ItemId item;
+    std::uint32_t slot;  // into `parts`
+  };
+  std::vector<FusionBreakdown> parts;
+  std::vector<Candidate> candidates;
+  parts.reserve(train_.num_items());
+  candidates.reserve(train_.num_items());
   for (std::size_t i = 0; i < train_.num_items(); ++i) {
     if (mask[i]) continue;  // already rated
     const auto item = static_cast<matrix::ItemId>(i);
-    all.push_back(Recommendation{
-        item, PredictWithNeighbors(user, item, *neighbors).fused});
+    const FusionBreakdown& estimates = parts.emplace_back(SirSurEstimates(
+        user, item, gis_.TopM(item, config_.top_m_items), neighbors));
+    double bound = Blend(estimates, user_mean);
+    if (term_bound) {
+      const double item_anchor =
+          config_.center_on_item_means ? train_.ItemMean(item) : 0.0;
+      FusionBreakdown ceiling = estimates;
+      ceiling.suir = item_anchor + *term_bound + kSlack;
+      bound = std::max(bound, Blend(ceiling, user_mean));
+    }
+    candidates.push_back(
+        Candidate{bound, item, static_cast<std::uint32_t>(parts.size() - 1)});
   }
-  const std::size_t take = std::min(n, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(),
-                    [](const Recommendation& a, const Recommendation& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.item < b.item;
-                    });
-  all.resize(take);
-  return all;
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.bound != b.bound) return a.bound > b.bound;
+              return a.item < b.item;
+            });
+
+  // Steps 2–3 in bound order, keeping the n best in a heap whose front is
+  // the worst kept.  Once a bound falls strictly below the n-th score, no
+  // later candidate can enter or tie into the list.
+  const auto better = [](const Recommendation& a, const Recommendation& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.item < b.item;
+  };
+  std::vector<Recommendation> top;
+  top.reserve(std::min(n, candidates.size()));
+  std::size_t fused = 0;
+  for (const Candidate& candidate : candidates) {
+    if (top.size() == n && candidate.bound < top.front().score) break;
+    FusionBreakdown& estimates = parts[candidate.slot];
+    CompleteFusion(user, candidate.item,
+                   gis_.TopM(candidate.item, config_.top_m_items), neighbors,
+                   estimates);
+    ++fused;
+    const Recommendation next{candidate.item, estimates.fused};
+    if (top.size() < n) {
+      top.push_back(next);
+      std::push_heap(top.begin(), top.end(), better);
+    } else if (better(next, top.front())) {
+      std::pop_heap(top.begin(), top.end(), better);
+      top.back() = next;
+      std::push_heap(top.begin(), top.end(), better);
+    }
+  }
+  const auto& metrics = CfsfMetrics::Get();
+  metrics.topn_candidates.Increment(candidates.size());
+  metrics.topn_fused.Increment(fused);
+  std::sort_heap(top.begin(), top.end(), better);
+  return top;
 }
 
 std::unique_ptr<CfsfModel> CfsfModel::WithRatings(

@@ -107,7 +107,11 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
       std::span<const std::pair<matrix::UserId, matrix::ItemId>> queries)
       const CFSF_HOT_PATH override;
 
-  /// Top-N recommendation: highest predicted unrated items for `user`.
+  /// Top-N recommendation: highest predicted unrated items for `user`,
+  /// score descending, then item id ascending.  Exact: each score is
+  /// bit-identical to Predict, and the list equals ranking every unrated
+  /// item.  SUIR′ and the Eq. 14 blend run only on candidates whose upper
+  /// bound can still reach the list (see docs/ALGORITHM.md).
   struct Recommendation {
     matrix::ItemId item = 0;
     double score = 0.0;
@@ -169,8 +173,27 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
   std::optional<double> SirEstimate(
       matrix::UserId user, matrix::ItemId item,
       std::span<const sim::Neighbor> top_items) const;
+  // The fusion in three steps, run in this order by every online path:
+  // SIR′ with SUR′, then SUIR′, then the Eq. 14 blend.
+  FusionBreakdown SirSurEstimates(matrix::UserId user, matrix::ItemId item,
+                                  std::span<const sim::Neighbor> top_items,
+                                  std::span<const SelectedUser> neighbors) const;
+  std::optional<double> SuirEstimate(
+      matrix::ItemId item, std::span<const sim::Neighbor> top_items,
+      std::span<const SelectedUser> neighbors) const;
+  double Blend(const FusionBreakdown& parts, double user_mean) const;
+  /// Steps 2–3 on `parts` (which holds step 1), plus the cfsf.predict
+  /// fail point and the component counters: the end of every full fusion.
+  void CompleteFusion(matrix::UserId user, matrix::ItemId item,
+                      std::span<const sim::Neighbor> top_items,
+                      std::span<const SelectedUser> neighbors,
+                      FusionBreakdown& parts) const;
   FusionBreakdown PredictWithNeighbors(
       matrix::UserId user, matrix::ItemId item,
+      std::span<const SelectedUser> neighbors) const;
+  /// The largest value term SUIR′ can read among `neighbors`' cells;
+  /// nullopt when none participates.
+  std::optional<double> SuirTermBound(
       std::span<const SelectedUser> neighbors) const;
   double TimeDecayWeight(matrix::UserId user, matrix::ItemId item) const;
 

@@ -45,6 +45,7 @@ inline constexpr const char kServeLatencyUserMean[] =
 inline constexpr const char kServeLatencyGlobalMean[] =
     "serve.latency_us.global_mean";
 inline constexpr const char kServeLatencyBatch[] = "serve.latency_us.batch";
+inline constexpr const char kServeLatencyTopN[] = "serve.latency_us.topn";
 
 // --- circuit breaker (src/serve/circuit_breaker.cpp) -----------------------
 inline constexpr const char kServeBreakerTrips[] = "serve.breaker.trips";
@@ -127,6 +128,8 @@ inline constexpr const char kCfsfComponentSuir[] =
 inline constexpr const char kCfsfTopkCacheHit[] = "cfsf.topk.cache_hit";
 inline constexpr const char kCfsfTopkCacheMiss[] = "cfsf.topk.cache_miss";
 inline constexpr const char kCfsfTopkPoolSize[] = "cfsf.topk.pool_size";
+inline constexpr const char kCfsfTopnCandidates[] = "cfsf.topn.candidates";
+inline constexpr const char kCfsfTopnFused[] = "cfsf.topn.fused";
 
 // --- thread pool (src/parallel/thread_pool.cpp) ----------------------------
 inline constexpr const char kPoolTasksExecuted[] = "pool.tasks_executed";

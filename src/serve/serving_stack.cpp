@@ -31,6 +31,7 @@ struct ServeMetrics {
   obs::Histogram& latency_user_mean;
   obs::Histogram& latency_global_mean;
   obs::Histogram& latency_batch;
+  obs::Histogram& latency_topn;
 
   static const ServeMetrics& Get() {
     static const ServeMetrics metrics = [] {
@@ -50,6 +51,7 @@ struct ServeMetrics {
           registry.GetHistogram(obs::names::kServeLatencyUserMean, buckets),
           registry.GetHistogram(obs::names::kServeLatencyGlobalMean, buckets),
           registry.GetHistogram(obs::names::kServeLatencyBatch, buckets),
+          registry.GetHistogram(obs::names::kServeLatencyTopN, buckets),
       };
     }();
     return metrics;
@@ -358,7 +360,7 @@ void ServingStack::ProcessTopN(const Request& request,
   const auto start = std::chrono::steady_clock::now();
   const auto recommendations =
       model.model().RecommendTopN(request.user, request.top_n);
-  LatencyFor(robust::PredictionRung::kFull).Record(ElapsedUs(start));
+  ServeMetrics::Get().latency_topn.Record(ElapsedUs(start));
   response.ranked.reserve(recommendations.size());
   for (const auto& recommendation : recommendations) {
     response.ranked.push_back(

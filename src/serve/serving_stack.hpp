@@ -52,7 +52,8 @@
 // Metrics: serve.requests / serve.ok / serve.shed / serve.rejected /
 // serve.errors / serve.refused / serve.degraded_admissions counters,
 // serve.queue_depth gauge, per-rung latency histograms
-// serve.latency_us.{full,sir,user_mean,global_mean}.  Failpoints:
+// serve.latency_us.{full,sir,user_mean,global_mean} for predicts, plus
+// serve.latency_us.batch and serve.latency_us.topn.  Failpoints:
 // serve.admit (admission path) and serve.worker (worker path), plus
 // everything the lower layers define.
 #pragma once

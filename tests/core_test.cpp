@@ -10,6 +10,8 @@
 #include <thread>
 
 #include "core/cfsf.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "similarity/kernels.hpp"
 #include "util/error.hpp"
 
@@ -452,8 +454,115 @@ TEST(TopN, ScoresMatchPredict) {
   model.Fit(split.train);
   const auto user = split.active_users[1];
   for (const auto& rec : model.RecommendTopN(user, 5)) {
-    EXPECT_DOUBLE_EQ(rec.score, model.Predict(user, rec.item));
+    EXPECT_EQ(rec.score, model.Predict(user, rec.item));
   }
+}
+
+// The ranking RecommendTopN must reproduce: Predict on every unrated
+// item, score descending, then item id ascending.
+std::vector<CfsfModel::Recommendation> ExhaustiveRanking(
+    const CfsfModel& model, matrix::UserId user) {
+  std::vector<CfsfModel::Recommendation> all;
+  for (std::size_t i = 0; i < model.train().num_items(); ++i) {
+    const auto item = static_cast<matrix::ItemId>(i);
+    if (model.train().HasRating(user, item)) continue;
+    all.push_back({item, model.Predict(user, item)});
+  }
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.item < b.item;
+  });
+  return all;
+}
+
+// Every user, n in {0, 1, 2, 10, 50, all candidates}: same items, same
+// order, and scores equal exactly (not within ULPs).
+void ExpectTopNIsExhaustive(const CfsfModel& model) {
+  for (std::size_t u = 0; u < model.train().num_users(); ++u) {
+    const auto user = static_cast<matrix::UserId>(u);
+    const auto want = ExhaustiveRanking(model, user);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                std::size_t{10}, std::size_t{50}, want.size()}) {
+      const auto got = model.RecommendTopN(user, n);
+      ASSERT_EQ(got.size(), std::min(n, want.size())) << "user " << u;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].item, want[k].item)
+            << "user " << u << " n " << n << " rank " << k;
+        ASSERT_EQ(got[k].score, want[k].score)
+            << "user " << u << " n " << n << " rank " << k;
+      }
+    }
+  }
+}
+
+TEST(TopN, PrunedRankingEqualsExhaustiveUnderEveryConfig) {
+  const auto split = SmallSplit();
+  ASSERT_TRUE(split.train.has_timestamps());
+  std::vector<std::pair<std::string, CfsfConfig>> configs;
+  configs.emplace_back("default", SmallConfig());
+  configs.emplace_back("local_matrix_smoothed", SmallConfig());
+  configs.back().second.local_matrix_smoothed = true;
+  configs.emplace_back("uncentred", SmallConfig());
+  configs.back().second.center_on_item_means = false;
+  configs.emplace_back("time_decay", SmallConfig());
+  configs.back().second.time_decay = true;
+  configs.back().second.time_half_life_days = 30.0;
+  configs.emplace_back("no_suir", SmallConfig());
+  configs.back().second.use_suir = false;
+  configs.emplace_back("epsilon_1", SmallConfig());
+  configs.back().second.epsilon = 1.0;
+  for (const auto& [name, config] : configs) {
+    SCOPED_TRACE(name);
+    CfsfModel model(config);
+    model.Fit(split.train);
+    ExpectTopNIsExhaustive(model);
+  }
+}
+
+TEST(TopN, TiedScoresRankByItemId) {
+  // w = 1 weighs every original rating at zero and SUR′ reads originals
+  // only, so no component produces a value: every candidate falls back
+  // to the same user mean, and only the item-id tie-break orders them.
+  const auto split = SmallSplit();
+  CfsfConfig config = SmallConfig();
+  config.epsilon = 1.0;
+  config.sur_uses_smoothed = false;
+  CfsfModel model(config);
+  model.Fit(split.train);
+  const auto user = split.active_users[0];
+  const auto recs = model.RecommendTopN(user, 10);
+  ASSERT_EQ(recs.size(), 10u);
+  for (std::size_t k = 1; k < recs.size(); ++k) {
+    EXPECT_EQ(recs[k].score, recs[0].score);
+    EXPECT_LT(recs[k - 1].item, recs[k].item);
+  }
+  ExpectTopNIsExhaustive(model);
+}
+
+TEST(TopN, PruningCountersShowTheSkippedFusions) {
+  if (!obs::MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
+  const auto split = SmallSplit();
+  CfsfModel model(SmallConfig());
+  model.Fit(split.train);
+  auto& registry = obs::MetricsRegistry::Global();
+  const auto& candidates = registry.GetCounter(obs::names::kCfsfTopnCandidates);
+  const auto& fused = registry.GetCounter(obs::names::kCfsfTopnFused);
+  // Candidates and fusions summed over every user for one n.
+  const auto sweep = [&](std::size_t n) {
+    const auto candidates_before = candidates.Value();
+    const auto fused_before = fused.Value();
+    for (std::size_t u = 0; u < model.train().num_users(); ++u) {
+      model.RecommendTopN(static_cast<matrix::UserId>(u), n);
+    }
+    return std::pair{candidates.Value() - candidates_before,
+                     fused.Value() - fused_before};
+  };
+  const auto [all_candidates, all_fused] = sweep(model.train().num_items());
+  EXPECT_GT(all_candidates, 0u);
+  EXPECT_EQ(all_fused, all_candidates);
+  const auto [top10_candidates, top10_fused] = sweep(10);
+  EXPECT_EQ(top10_candidates, all_candidates);
+  EXPECT_LT(top10_fused, top10_candidates);
 }
 
 // --------------------------------------------------------- incremental ----

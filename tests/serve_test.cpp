@@ -20,6 +20,8 @@
 #include "core/model_io.hpp"
 #include "data/synthetic.hpp"
 #include "obs/failpoint.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "serve/api.hpp"
 #include "serve/circuit_breaker.hpp"
 #include "serve/delta_folder.hpp"
@@ -330,6 +332,39 @@ TEST_F(ServeTest, TopNServesRankedItemsWhenHealthy) {
   for (std::size_t i = 1; i < response.ranked.size(); ++i) {
     EXPECT_LE(response.ranked[i].score, response.ranked[i - 1].score);
   }
+}
+
+TEST_F(ServeTest, TopNLatencyLandsInItsOwnHistogram) {
+  if (!obs::MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
+  auto& registry = obs::MetricsRegistry::Global();
+  const char* const kHistograms[] = {
+      obs::names::kServeLatencyTopN,       obs::names::kServeLatencyFull,
+      obs::names::kServeLatencySir,        obs::names::kServeLatencyUserMean,
+      obs::names::kServeLatencyGlobalMean, obs::names::kServeLatencyBatch};
+  const auto counts = [&] {
+    std::vector<std::uint64_t> out;
+    for (const char* name : kHistograms) {
+      out.push_back(registry.GetHistogram(name, obs::LatencyBucketsUs()).Count());
+    }
+    return out;
+  };
+  ServingStack stack(Models(), SmallStack());
+  const auto before = counts();
+  ASSERT_EQ(stack.ServeSync(Request::TopN(0, 5)).code, StatusCode::kOk);
+  const auto after = counts();
+  EXPECT_EQ(after[0], before[0] + 1) << kHistograms[0];
+  for (std::size_t i = 1; i < before.size(); ++i) {
+    EXPECT_EQ(after[i], before[i]) << kHistograms[i];
+  }
+}
+
+TEST_F(ServeTest, TopNPassesTheFullFusionFailpoint) {
+  ServingStack stack(Models(), SmallStack());
+  ScopedFailPoint guard("cfsf.predict", "always");
+  const auto trips_before = FailPointRegistry::Global().TripCount("cfsf.predict");
+  const Response response = stack.ServeSync(Request::TopN(0, 5));
+  EXPECT_EQ(response.code, StatusCode::kInternal);
+  EXPECT_GT(FailPointRegistry::Global().TripCount("cfsf.predict"), trips_before);
 }
 
 TEST_F(ServeTest, TopNForUnknownUserIsNotFound) {

@@ -255,16 +255,29 @@ TEST_F(ModelStress, ConcurrentBatchPredictionAndCacheClearing) {
 }
 
 TEST_F(ModelStress, ConcurrentTopNAndSelection) {
+  // Serial reference rankings, then an empty cache that the threads
+  // refill while each one ranks: every concurrent list must equal the
+  // serial one exactly.
+  constexpr matrix::UserId kUsers = 48;
+  std::vector<std::vector<core::CfsfModel::Recommendation>> expected;
+  for (matrix::UserId u = 0; u < kUsers; ++u) {
+    expected.push_back(model_->RecommendTopN(u, 5));
+  }
+  model_->ClearCache();
+
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([t] {
-      for (matrix::UserId u = static_cast<matrix::UserId>(t); u < 48;
+    threads.emplace_back([t, &expected] {
+      for (matrix::UserId u = static_cast<matrix::UserId>(t); u < kUsers;
            u += 4) {
         const auto selected = model_->SelectTopKUsers(u);
         ASSERT_LE(selected.size(), model_->config().top_k_users);
         const auto recs = model_->RecommendTopN(u, 5);
-        ASSERT_LE(recs.size(), 5u);
-        for (const auto& r : recs) ASSERT_TRUE(std::isfinite(r.score));
+        ASSERT_EQ(recs.size(), expected[u].size()) << "user " << u;
+        for (std::size_t k = 0; k < recs.size(); ++k) {
+          ASSERT_EQ(recs[k].item, expected[u][k].item) << "user " << u;
+          ASSERT_EQ(recs[k].score, expected[u][k].score) << "user " << u;
+        }
       }
     });
   }
