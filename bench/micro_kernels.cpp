@@ -3,6 +3,8 @@
 // selection and single online predictions.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "clustering/kmeans.hpp"
 #include "clustering/smoothing.hpp"
 #include "core/cfsf.hpp"
@@ -11,6 +13,7 @@
 #include "similarity/kernels.hpp"
 #include "similarity/user_similarity.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -161,6 +164,40 @@ void BM_RecommendTopN(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RecommendTopN)->Arg(10)->Arg(1000)->Unit(benchmark::kMicrosecond);
+
+// One CfsfModel::WithRatings fold per iteration, of a batch of
+// state.range(0) ratings shaped like the serving benchmark's ingest
+// traffic: users and items uniform, 90 % to cells the user has not rated,
+// the rest re-rating a cell they have.  Sixteen batches rotate.
+void BM_FoldRatings(benchmark::State& state) {
+  const auto& model = FittedModel();
+  const auto& train = model.train();
+  const auto size = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(20091015);
+  std::vector<std::vector<matrix::RatingTriple>> batches(16);
+  for (auto& batch : batches) {
+    for (std::size_t k = 0; k < size; ++k) {
+      matrix::RatingTriple t;
+      t.user = static_cast<matrix::UserId>(rng.NextBounded(train.num_users()));
+      const auto row = train.UserRow(t.user);
+      if (rng.NextDouble() >= 0.9 && !row.empty()) {
+        t.item = row[rng.NextBounded(row.size())].index;
+      } else {
+        do {
+          t.item = static_cast<matrix::ItemId>(rng.NextBounded(train.num_items()));
+        } while (train.HasRating(t.user, t.item));
+      }
+      t.value = static_cast<matrix::Rating>(1 + rng.NextBounded(5));
+      batch.push_back(t);
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.WithRatings(batches[next]));
+    next = (next + 1) % batches.size();
+  }
+}
+BENCHMARK(BM_FoldRatings)->Arg(1)->Arg(125)->Unit(benchmark::kMillisecond);
 
 void BM_OfflinePhase(benchmark::State& state) {
   const auto& m = World();

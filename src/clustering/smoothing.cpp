@@ -10,6 +10,16 @@
 
 namespace cfsf::cluster {
 
+namespace {
+
+/// Eq. 9 from its accumulators; 0 when either side has no variance.
+double Affinity(double dot, double sq_c, double sq_u) {
+  const double denom = std::sqrt(sq_c) * std::sqrt(sq_u);
+  return denom > 0.0 ? dot / denom : 0.0;
+}
+
+}  // namespace
+
 ClusterModel ClusterModel::Build(const matrix::RatingMatrix& matrix,
                                  std::span<const std::uint32_t> assignments,
                                  std::size_t num_clusters, bool parallel,
@@ -103,20 +113,40 @@ ClusterModel ClusterModel::Build(const matrix::RatingMatrix& matrix,
       options);
 
   // --- Eq. 9: iCluster lists -------------------------------------------
+  // One pass over each user's row feeds all C affinities.  The deviations
+  // are read item-major, so an item's C values sit side by side.  Each
+  // accumulator adds the same terms in the same order as AffinityOf, so
+  // every affinity is bit-identical to it.
   if (profiler != nullptr) profiler->Begin("icluster");
+  std::vector<double> deviations_by_item(q * num_clusters);
+  for (std::size_t c = 0; c < num_clusters; ++c) {
+    for (std::size_t i = 0; i < q; ++i) {
+      deviations_by_item[i * num_clusters + c] = model.deviations_(c, i);
+    }
+  }
   model.icluster_.assign(p, {});
   par::ParallelFor(
       0, p,
       [&](std::size_t u) {
+        std::vector<double> dot(num_clusters, 0.0);
+        std::vector<double> sq_c(num_clusters, 0.0);
+        double sq_u = 0.0;
+        const double mean_u = model.user_means_[u];
+        for (const auto& e : matrix.UserRow(static_cast<matrix::UserId>(u))) {
+          const double du = e.value - mean_u;
+          const double* dc = &deviations_by_item[e.index * num_clusters];
+          for (std::size_t c = 0; c < num_clusters; ++c) {
+            dot[c] += dc[c] * du;
+            sq_c[c] += dc[c] * dc[c];
+          }
+          sq_u += du * du;
+        }
         auto& list = model.icluster_[u];
         list.reserve(num_clusters);
-        const auto row = matrix.UserRow(static_cast<matrix::UserId>(u));
-        const double mean_u = model.user_means_[u];
         for (std::size_t c = 0; c < num_clusters; ++c) {
-          const double sim =
-              model.AffinityOf(row, mean_u, static_cast<std::uint32_t>(c));
-          list.push_back(ClusterAffinity{static_cast<std::uint32_t>(c),
-                                         static_cast<float>(sim)});
+          list.push_back(ClusterAffinity{
+              static_cast<std::uint32_t>(c),
+              static_cast<float>(Affinity(dot[c], sq_c[c], sq_u))});
         }
         std::sort(list.begin(), list.end(),
                   [](const ClusterAffinity& a, const ClusterAffinity& b) {
@@ -183,8 +213,7 @@ double ClusterModel::AffinityOf(std::span<const matrix::Entry> row,
     sq_c += dc * dc;
     sq_u += du * du;
   }
-  const double denom = std::sqrt(sq_c) * std::sqrt(sq_u);
-  return denom > 0.0 ? dot / denom : 0.0;
+  return Affinity(dot, sq_c, sq_u);
 }
 
 void ClusterModel::DebugValidate(const matrix::RatingMatrix& matrix) const {

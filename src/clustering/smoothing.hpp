@@ -87,7 +87,9 @@ class ClusterModel {
   std::span<const ClusterAffinity> IClusterOf(matrix::UserId user) const;
 
   /// Eq. 9 for an arbitrary sparse profile (used to fold a brand-new user
-  /// into an existing model without re-clustering).
+  /// into an existing model without re-clustering).  Build computes every
+  /// user's C affinities in one pass over the row instead; the values are
+  /// bit-identical to this.
   double AffinityOf(std::span<const matrix::Entry> row, double row_mean,
                     std::uint32_t cluster) const;
 

@@ -8,6 +8,95 @@
 
 namespace cfsf::matrix {
 
+namespace {
+
+void RequireFinite(UserId user, ItemId item, Rating value) {
+  if (!std::isfinite(value)) {
+    throw util::DimensionError("non-finite rating for user " +
+                               std::to_string(user) + ", item " +
+                               std::to_string(item));
+  }
+}
+
+/// Sorts by (user, item) and keeps the *last* triple of each cell, so a
+/// later duplicate supersedes an earlier one.
+void SortKeepLast(std::vector<RatingTriple>& triples) {
+  std::stable_sort(triples.begin(), triples.end(),
+                   [](const RatingTriple& a, const RatingTriple& b) {
+                     return a.user != b.user ? a.user < b.user : a.item < b.item;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < triples.size(); ++i) {
+    if (i + 1 < triples.size() && triples[i + 1].user == triples[i].user &&
+        triples[i + 1].item == triples[i].item) {
+      continue;  // superseded by a later duplicate
+    }
+    triples[kept++] = triples[i];
+  }
+  triples.resize(kept);
+}
+
+/// One compressed index (CSR or CSC) with its optional timestamps.
+struct CompressedIndex {
+  std::vector<std::size_t> ptr;
+  std::vector<Entry> entries;
+  std::vector<Timestamp> stamps;
+};
+
+/// Merges `fresh` into the compressed index (ptr, entries) of `rows` rows
+/// in one linear pass.  `fresh` must be sorted by (major, minor) with one
+/// triple per cell; `major(t)` names the row a triple lands in and
+/// `minor(t)` its index there.  A fresh triple replaces the stored entry
+/// of its cell.  With `with_stamps`, the result carries timestamps
+/// aligned with its entries: `stamps` for kept entries (all zero when
+/// `stamps` is empty), the triple's own for fresh ones.
+template <typename Major, typename Minor>
+CompressedIndex MergeIndex(std::size_t rows,
+                           const std::vector<std::size_t>& ptr,
+                           const std::vector<Entry>& entries,
+                           const std::vector<Timestamp>& stamps,
+                           bool with_stamps,
+                           std::span<const RatingTriple> fresh, Major major,
+                           Minor minor) {
+  CompressedIndex out;
+  out.ptr.assign(rows + 1, 0);
+  out.entries.reserve(entries.size() + fresh.size());
+  if (with_stamps) out.stamps.reserve(entries.size() + fresh.size());
+  const auto keep = [&](std::size_t from, std::size_t to) {
+    out.entries.insert(out.entries.end(), entries.begin() + from,
+                       entries.begin() + to);
+    if (!with_stamps) return;
+    if (stamps.empty()) {
+      out.stamps.resize(out.stamps.size() + (to - from), 0);
+    } else {
+      out.stamps.insert(out.stamps.end(), stamps.begin() + from,
+                        stamps.begin() + to);
+    }
+  };
+  std::size_t next = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::size_t k = ptr[r];
+    const std::size_t end = ptr[r + 1];
+    for (; next < fresh.size() && major(fresh[next]) == r; ++next) {
+      const RatingTriple& t = fresh[next];
+      const std::uint32_t index = minor(t);
+      const auto stop = std::lower_bound(
+          entries.begin() + k, entries.begin() + end, index,
+          [](const Entry& e, std::uint32_t target) { return e.index < target; });
+      const auto at = static_cast<std::size_t>(stop - entries.begin());
+      keep(k, at);
+      k = at < end && entries[at].index == index ? at + 1 : at;
+      out.entries.push_back(Entry{index, t.value});
+      if (with_stamps) out.stamps.push_back(t.timestamp);
+    }
+    keep(k, end);
+    out.ptr[r + 1] = out.entries.size();
+  }
+  return out;
+}
+
+}  // namespace
+
 RatingMatrixBuilder::RatingMatrixBuilder(std::size_t num_users, std::size_t num_items)
     : num_users_(num_users), num_items_(num_items) {}
 
@@ -23,11 +112,7 @@ void RatingMatrixBuilder::Add(UserId user, ItemId item, Rating value,
                                " out of range (num_items=" +
                                std::to_string(num_items_) + ")");
   }
-  if (!std::isfinite(value)) {
-    throw util::DimensionError("non-finite rating for user " +
-                               std::to_string(user) + ", item " +
-                               std::to_string(item));
-  }
+  RequireFinite(user, item, value);
   triples_.push_back(RatingTriple{user, item, value, timestamp});
 }
 
@@ -46,49 +131,35 @@ RatingMatrix RatingMatrixBuilder::Build() {
 }
 
 void RatingMatrix::BuildIndexes(std::vector<RatingTriple>&& triples) {
-  // Stable sort by (user, item); for duplicates the *last* added wins, so
-  // keep the final occurrence of each key.
-  std::stable_sort(triples.begin(), triples.end(),
-                   [](const RatingTriple& a, const RatingTriple& b) {
-                     return a.user != b.user ? a.user < b.user : a.item < b.item;
-                   });
-  std::vector<RatingTriple> unique;
-  unique.reserve(triples.size());
-  for (std::size_t i = 0; i < triples.size(); ++i) {
-    if (i + 1 < triples.size() && triples[i + 1].user == triples[i].user &&
-        triples[i + 1].item == triples[i].item) {
-      continue;  // superseded by a later duplicate
-    }
-    unique.push_back(triples[i]);
-  }
+  SortKeepLast(triples);
 
   const bool any_timestamp =
-      std::any_of(unique.begin(), unique.end(),
+      std::any_of(triples.begin(), triples.end(),
                   [](const RatingTriple& t) { return t.timestamp != 0; });
 
   user_ptr_.assign(num_users_ + 1, 0);
   user_entries_.clear();
-  user_entries_.reserve(unique.size());
+  user_entries_.reserve(triples.size());
   if (any_timestamp) {
     user_timestamps_.clear();
-    user_timestamps_.reserve(unique.size());
+    user_timestamps_.reserve(triples.size());
   } else {
     user_timestamps_.clear();
   }
-  for (const auto& t : unique) ++user_ptr_[t.user + 1];
+  for (const auto& t : triples) ++user_ptr_[t.user + 1];
   for (std::size_t u = 0; u < num_users_; ++u) user_ptr_[u + 1] += user_ptr_[u];
-  for (const auto& t : unique) {
+  for (const auto& t : triples) {
     user_entries_.push_back(Entry{t.item, t.value});
     if (any_timestamp) user_timestamps_.push_back(t.timestamp);
   }
 
   // CSC: counting sort by item, preserving user order inside each column.
   item_ptr_.assign(num_items_ + 1, 0);
-  for (const auto& t : unique) ++item_ptr_[t.item + 1];
+  for (const auto& t : triples) ++item_ptr_[t.item + 1];
   for (std::size_t i = 0; i < num_items_; ++i) item_ptr_[i + 1] += item_ptr_[i];
-  item_entries_.assign(unique.size(), Entry{});
+  item_entries_.assign(triples.size(), Entry{});
   std::vector<std::size_t> cursor(item_ptr_.begin(), item_ptr_.end() - 1);
-  for (const auto& t : unique) {
+  for (const auto& t : triples) {
     item_entries_[cursor[t.item]++] = Entry{t.user, t.value};
   }
 }
@@ -244,14 +315,47 @@ RatingMatrix RatingMatrix::KeepUserPrefix(std::size_t keep_users) const {
 
 RatingMatrix RatingMatrix::WithRatings(
     std::span<const RatingTriple> ratings) const {
-  RatingMatrixBuilder builder(num_users_, num_items_);
-  for (const auto& t : ToTriples()) builder.Add(t);
   for (const auto& t : ratings) {
     CFSF_REQUIRE(t.user < num_users_ && t.item < num_items_,
                  "WithRatings ids out of range");
-    builder.Add(t);
+    RequireFinite(t.user, t.item, t.value);
   }
-  return builder.Build();
+  std::vector<RatingTriple> fresh(ratings.begin(), ratings.end());
+  SortKeepLast(fresh);
+
+  // The builder keeps a timestamp array iff some kept timestamp is
+  // nonzero; merge one whenever either side may contribute one.
+  const bool with_stamps =
+      has_timestamps() ||
+      std::any_of(fresh.begin(), fresh.end(),
+                  [](const RatingTriple& t) { return t.timestamp != 0; });
+  RatingMatrix next;
+  next.num_users_ = num_users_;
+  next.num_items_ = num_items_;
+  CompressedIndex rows = MergeIndex(
+      num_users_, user_ptr_, user_entries_, user_timestamps_, with_stamps,
+      fresh,
+      [](const RatingTriple& t) { return t.user; },
+      [](const RatingTriple& t) { return t.item; });
+  next.user_ptr_ = std::move(rows.ptr);
+  next.user_entries_ = std::move(rows.entries);
+  if (std::any_of(rows.stamps.begin(), rows.stamps.end(),
+                  [](Timestamp ts) { return ts != 0; })) {
+    next.user_timestamps_ = std::move(rows.stamps);
+  }
+
+  std::sort(fresh.begin(), fresh.end(),
+            [](const RatingTriple& a, const RatingTriple& b) {
+              return a.item != b.item ? a.item < b.item : a.user < b.user;
+            });
+  CompressedIndex cols = MergeIndex(
+      num_items_, item_ptr_, item_entries_, {}, false, fresh,
+      [](const RatingTriple& t) { return t.item; },
+      [](const RatingTriple& t) { return t.user; });
+  next.item_ptr_ = std::move(cols.ptr);
+  next.item_entries_ = std::move(cols.entries);
+  next.ComputeMeans();
+  return next;
 }
 
 RatingMatrix RatingMatrix::WithRating(UserId user, ItemId item, Rating value,

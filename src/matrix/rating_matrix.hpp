@@ -107,8 +107,12 @@ class RatingMatrix {
   /// ML_100/ML_200/ML_300 prefix construction.  Item space is unchanged.
   RatingMatrix KeepUserPrefix(std::size_t keep_users) const;
 
-  /// Returns a copy with `ratings` inserted (or overwritten) in one
-  /// builder pass; a later triple for the same cell wins.
+  /// Returns a copy with `ratings` inserted (or overwritten); a later
+  /// triple for the same cell wins.  Only the batch is sorted: it is then
+  /// merged into the CSR and CSC arrays in one linear pass each, and the
+  /// result equals a RatingMatrixBuilder over ToTriples() plus `ratings`,
+  /// array for array.  Ids out of range throw ConfigError, a non-finite
+  /// value DimensionError.
   RatingMatrix WithRatings(std::span<const RatingTriple> ratings) const;
 
   /// WithRatings of one rating.  Used by the online protocol, which

@@ -83,6 +83,7 @@ inline constexpr const char kWalReplayTruncated[] = "wal.replay.truncated";
 inline constexpr const char kWalFoldedRecords[] = "wal.folded_records";
 inline constexpr const char kWalFoldSkipped[] = "wal.fold.skipped";
 inline constexpr const char kWalFoldPublishes[] = "wal.fold.publishes";
+inline constexpr const char kWalFoldLatencyUs[] = "wal.fold.latency_us";
 inline constexpr const char kWalStalenessUs[] = "wal.staleness_us";
 inline constexpr const char kWalDedupHits[] = "wal.dedup.hits";
 inline constexpr const char kWalDedupEntries[] = "wal.dedup.entries";

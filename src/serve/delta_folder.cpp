@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "obs/timer.hpp"
 #include "util/backoff.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -18,6 +19,7 @@ struct FoldMetrics {
   obs::Counter& skipped;
   obs::Counter& publishes;
   obs::Gauge& staleness_us;
+  obs::Histogram& fold_latency_us;
 
   static FoldMetrics& Instance() {
     static FoldMetrics metrics = [] {
@@ -27,6 +29,8 @@ struct FoldMetrics {
           registry.GetCounter(obs::names::kWalFoldSkipped),
           registry.GetCounter(obs::names::kWalFoldPublishes),
           registry.GetGauge(obs::names::kWalStalenessUs),
+          registry.GetHistogram(obs::names::kWalFoldLatencyUs,
+                                obs::LatencyBucketsUs()),
       };
     }();
     return metrics;
@@ -85,6 +89,7 @@ std::size_t DeltaFolder::FoldOnce() {
     }
     if (!ratings.empty()) {
       // Drained in lsn order, so a re-rated cell keeps its later rating.
+      obs::ScopedTimer fold_timer(metrics.fold_latency_us);
       model_ = model_->WithRatings(ratings);
       published = model_;
       ++publishes_;

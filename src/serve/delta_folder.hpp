@@ -13,7 +13,8 @@
 // Staleness — the time from a record's durable ack to the generation
 // swap that makes it predictable — is first-class: each publish sets
 // the wal.staleness_us gauge to the oldest drained record's ack-to-
-// publish latency.  wal.folded_records / wal.fold.skipped /
+// publish latency.  wal.fold.latency_us times each fold's WithRatings
+// call.  wal.folded_records / wal.fold.skipped /
 // wal.fold.publishes count the traffic (skipped = user or item outside
 // the model's dimensions; enrolment is AddUser's job, not the
 // folder's).  Skipped records are surfaced, not silent: /healthz

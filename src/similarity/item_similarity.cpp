@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "parallel/parallel_for.hpp"
 #include "similarity/kernels.hpp"
@@ -29,11 +31,18 @@ inline std::size_t TriIndex(std::size_t n, std::size_t a, std::size_t b) {
   return a * n - a * (a + 1) / 2 + (b - a - 1);
 }
 
+/// Row order: descending similarity, ascending item id on ties.  Ids are
+/// unique within a row, so this is a strict total order on its entries.
+constexpr auto RowOrder = [](const Neighbor& x, const Neighbor& y) {
+  if (x.similarity != y.similarity) return x.similarity > y.similarity;
+  return x.index < y.index;
+};
+
+// Sorts through raw pointers: over vector iterators GCC 12's -fanalyzer
+// loses track of the introsort bounds in this file and reports them
+// uninitialized (the ci_check.sh analyzer tier).
 void SortRow(std::vector<Neighbor>& row) {
-  std::sort(row.begin(), row.end(), [](const Neighbor& x, const Neighbor& y) {
-    if (x.similarity != y.similarity) return x.similarity > y.similarity;
-    return x.index < y.index;
-  });
+  std::sort(row.data(), row.data() + row.size(), RowOrder);
 }
 
 bool PassesFilters(const GisConfig& config, double sim, std::size_t overlap) {
@@ -140,10 +149,20 @@ GlobalItemSimilarity GlobalItemSimilarity::FromRows(
     std::vector<std::vector<Neighbor>> rows, const GisConfig& config) {
   GlobalItemSimilarity gis;
   gis.config_ = config;
-  for (const auto& row : rows) {
-    for (const auto& n : row) {
-      CFSF_REQUIRE(n.index < rows.size(),
-                   "GIS row references an item outside the matrix");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& row = rows[i];
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      CFSF_REQUIRE(row[k].index < rows.size(),
+                   "GIS row " + std::to_string(i) +
+                       " references an item outside the matrix");
+      CFSF_REQUIRE(row[k].index != i,
+                   "GIS row " + std::to_string(i) + " lists the item itself");
+      // RefreshItems merges fresh entries into the stored rows, which
+      // equals a re-sort only for rows already in row order.
+      CFSF_REQUIRE(k == 0 || RowOrder(row[k - 1], row[k]),
+                   "GIS row " + std::to_string(i) +
+                       " is not similarity-descending with ascending-id "
+                       "tie-breaks");
     }
   }
   gis.rows_ = std::move(rows);
@@ -183,13 +202,21 @@ void GlobalItemSimilarity::RefreshItems(const matrix::RatingMatrix& matrix,
   if (items.empty()) return;
   const std::size_t q = rows_.size();
 
-  std::unordered_set<std::uint32_t> affected(items.begin(), items.end());
+  // Dense membership flags; `affected` lists each touched item once.
+  std::vector<std::uint8_t> is_affected(q, 0);
+  std::vector<matrix::ItemId> affected;
+  for (const auto item : items) {
+    CFSF_REQUIRE(item < q, "RefreshItems item id out of range");
+    if (is_affected[item] == 0) {
+      is_affected[item] = 1;
+      affected.push_back(item);
+    }
+  }
 
   // Recompute similarities of each affected item against every other item
   // with the direct column-merge kernel.
   std::vector<std::vector<Neighbor>> fresh(q);  // fresh[j] = new entries into row j
   for (const auto item : affected) {
-    CFSF_REQUIRE(item < q, "RefreshItems item id out of range");
     const auto col_a = matrix.ItemCol(item);
     const double mean_a = matrix.ItemMean(item);
     auto& own_row = rows_[item];
@@ -206,7 +233,7 @@ void GlobalItemSimilarity::RefreshItems(const matrix::RatingMatrix& matrix,
       if (!PassesFilters(config_, sim, result.overlap)) continue;
       own_row.push_back(
           Neighbor{static_cast<std::uint32_t>(b), static_cast<float>(sim)});
-      if (!affected.contains(static_cast<std::uint32_t>(b))) {
+      if (is_affected[b] == 0) {
         fresh[b].push_back(Neighbor{item, static_cast<float>(sim)});
       }
     }
@@ -216,24 +243,28 @@ void GlobalItemSimilarity::RefreshItems(const matrix::RatingMatrix& matrix,
     }
   }
 
-  // Splice the affected items into every other row: drop stale entries,
-  // append fresh ones, restore descending order.
+  // Splice the affected items into every other row.  Dropping the stale
+  // entries leaves a row in row order, so only the fresh entries need a
+  // sort before one merge; RowOrder is a strict total order within a row,
+  // so the merge equals a full re-sort.
   for (std::size_t j = 0; j < q; ++j) {
-    if (affected.contains(static_cast<std::uint32_t>(j))) continue;
+    if (is_affected[j] != 0) continue;
     auto& row = rows_[j];
-    const auto stale = std::remove_if(row.begin(), row.end(),
-                                      [&affected](const Neighbor& n) {
-                                        return affected.contains(n.index);
-                                      });
-    const bool changed = stale != row.end() || !fresh[j].empty();
+    auto& add = fresh[j];
+    const auto stale = std::remove_if(
+        row.begin(), row.end(),
+        [&is_affected](const Neighbor& n) { return is_affected[n.index] != 0; });
+    if (stale == row.end() && add.empty()) continue;
     row.erase(stale, row.end());
-    row.insert(row.end(), fresh[j].begin(), fresh[j].end());
-    if (changed) {
-      SortRow(row);
-      if (config_.max_neighbors != 0 && row.size() > config_.max_neighbors) {
-        row.resize(config_.max_neighbors);
-      }
+    SortRow(add);
+    std::vector<Neighbor> merged;
+    merged.reserve(row.size() + add.size());
+    std::merge(row.begin(), row.end(), add.begin(), add.end(),
+               std::back_inserter(merged), RowOrder);
+    if (config_.max_neighbors != 0 && merged.size() > config_.max_neighbors) {
+      merged.resize(config_.max_neighbors);
     }
+    row = std::move(merged);
   }
 }
 

@@ -60,8 +60,11 @@ class GlobalItemSimilarity {
                                     const GisConfig& config = {});
 
   /// Reconstructs a GIS from previously built rows (model persistence).
-  /// Rows must already be similarity-descending; this is not validated
-  /// beyond basic shape checks.
+  /// Throws ConfigError naming the first row that references an item
+  /// outside the matrix, lists its own item, or is out of row order
+  /// (similarity-descending, ascending id on ties): RefreshItems merges
+  /// fresh entries into the stored rows and is exact only for rows in
+  /// that order.
   static GlobalItemSimilarity FromRows(std::vector<std::vector<Neighbor>> rows,
                                        const GisConfig& config);
 
@@ -82,7 +85,9 @@ class GlobalItemSimilarity {
 
   /// Incremental maintenance (the paper's "keep GIS up-to-date" future
   /// work): recompute the rows of `items` — and their appearance in other
-  /// rows — against the given (updated) matrix.
+  /// rows — against the given (updated) matrix.  Every other row drops
+  /// its stale entries and merges the fresh ones in, which yields exactly
+  /// the row a full re-sort (then the max_neighbors cap) would.
   void RefreshItems(const matrix::RatingMatrix& matrix,
                     std::span<const matrix::ItemId> items);
 

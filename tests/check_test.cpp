@@ -130,21 +130,8 @@ TEST(GisValidate, SurvivesRefreshItems) {
   EXPECT_NO_THROW(gis.DebugValidate());
 }
 
-TEST(GisValidate, RejectsUnsortedRows) {
-  // FromRows trusts its input beyond shape checks — exactly the hole
-  // DebugValidate covers for model deserialisation.
-  std::vector<std::vector<sim::Neighbor>> rows(2);
-  rows[0] = {{1, 0.2F}, {1, 0.9F}};  // ascending: violates the sort order
-  const auto gis = sim::GlobalItemSimilarity::FromRows(std::move(rows), {});
-  EXPECT_THROW(gis.DebugValidate(), util::InvariantError);
-}
-
-TEST(GisValidate, RejectsSelfNeighbours) {
-  std::vector<std::vector<sim::Neighbor>> rows(2);
-  rows[1] = {{1, 0.5F}};
-  const auto gis = sim::GlobalItemSimilarity::FromRows(std::move(rows), {});
-  EXPECT_THROW(gis.DebugValidate(), util::InvariantError);
-}
+// Unsorted rows and self-neighbours never reach DebugValidate: FromRows
+// refuses them at load (extensions_test, GisFromRows.*).
 
 TEST(GisValidate, RejectsOutOfRangeSimilarity) {
   std::vector<std::vector<sim::Neighbor>> rows(2);

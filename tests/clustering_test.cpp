@@ -2,8 +2,10 @@
 // iCluster model (Eqs. 6–9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "clustering/kmeans.hpp"
 #include "clustering/smoothing.hpp"
@@ -315,6 +317,47 @@ TEST(ClusterModel, ParallelMatchesSerial) {
     const auto pa = a.SmoothedProfile(static_cast<matrix::UserId>(u));
     const auto pb = b.SmoothedProfile(static_cast<matrix::UserId>(u));
     for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_DOUBLE_EQ(pa[i], pb[i]);
+  }
+}
+
+TEST(ClusterModel, IClusterEqualsAffinityOfForEveryUser) {
+  // Build computes all C affinities of a user in one pass over the row;
+  // each must equal AffinityOf bit for bit, in the same order.  The two
+  // extra users cover an empty row and a zero-variance row.
+  data::SyntheticConfig config;
+  config.num_users = 80;
+  config.num_items = 60;
+  config.min_ratings_per_user = 10;
+  config.log_mean = 3.0;
+  const auto base = data::GenerateSynthetic(config);
+  matrix::RatingMatrixBuilder b(base.num_users() + 2, base.num_items());
+  for (const auto& t : base.ToTriples()) b.Add(t);
+  const auto flat = static_cast<matrix::UserId>(base.num_users() + 1);
+  for (matrix::ItemId i = 0; i < 5; ++i) b.Add(flat, i, 4.0F);
+  const auto m = b.Build();
+
+  KMeansConfig kconfig;
+  kconfig.num_clusters = 7;
+  std::vector<std::uint32_t> assignments = RunKMeans(base, kconfig).assignments;
+  assignments.push_back(0);
+  assignments.push_back(3);
+  for (const double shrinkage : {0.0, 2.0}) {
+    const auto model = ClusterModel::Build(m, assignments, 7, true, shrinkage);
+    for (matrix::UserId u = 0; u < m.num_users(); ++u) {
+      std::vector<ClusterAffinity> want;
+      for (std::uint32_t c = 0; c < 7; ++c) {
+        want.push_back(ClusterAffinity{
+            c, static_cast<float>(model.AffinityOf(m.UserRow(u), m.UserMean(u), c))});
+      }
+      std::sort(want.begin(), want.end(),
+                [](const ClusterAffinity& x, const ClusterAffinity& y) {
+                  if (x.similarity != y.similarity) return x.similarity > y.similarity;
+                  return x.cluster < y.cluster;
+                });
+      const auto got = model.IClusterOf(u);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "user " << u << ", shrinkage " << shrinkage;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "baselines/means.hpp"
 #include "baselines/mf.hpp"
@@ -450,6 +451,39 @@ TEST(GisFromRows, RejectsOutOfRangeIndex) {
   rows[0].push_back(sim::Neighbor{7, 0.5F});
   EXPECT_THROW(sim::GlobalItemSimilarity::FromRows(std::move(rows), {}),
                util::ConfigError);
+}
+
+// RefreshItems merges fresh entries into stored rows, which is exact only
+// for rows in row order; a bundle row out of that order is refused at
+// load, naming the row.
+TEST(GisFromRows, RejectsUnsortedRow) {
+  for (const auto& bad : std::vector<std::vector<sim::Neighbor>>{
+           {{1, 0.2F}, {2, 0.9F}},    // ascending similarity
+           {{2, 0.5F}, {1, 0.5F}},    // tie not broken by ascending id
+           {{1, 0.5F}, {1, 0.5F}}}) { // repeated neighbour
+    std::vector<std::vector<sim::Neighbor>> rows(3);
+    rows[0] = {{2, 0.7F}};
+    rows[2] = bad;
+    try {
+      sim::GlobalItemSimilarity::FromRows(std::move(rows), {});
+      ADD_FAILURE() << "unsorted row accepted";
+    } catch (const util::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("GIS row 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(GisFromRows, RejectsSelfNeighbour) {
+  std::vector<std::vector<sim::Neighbor>> rows(2);
+  rows[1] = {{1, 0.5F}};
+  try {
+    sim::GlobalItemSimilarity::FromRows(std::move(rows), {});
+    ADD_FAILURE() << "self-neighbour accepted";
+  } catch (const util::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("GIS row 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

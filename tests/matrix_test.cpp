@@ -1,10 +1,15 @@
 // Unit tests for cfsf::matrix — builder, dual indexes, means, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "matrix/dense_matrix.hpp"
 #include "matrix/rating_matrix.hpp"
 #include "matrix/stats.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace cfsf::matrix {
 namespace {
@@ -206,6 +211,181 @@ TEST(RatingMatrix, WithRatingInsertsAndOverwrites) {
   EXPECT_FLOAT_EQ(*overwritten.GetRating(0, 0), 1.0F);
   // Means are recomputed.
   EXPECT_NE(overwritten.UserMean(0), m.UserMean(0));
+}
+
+// ---------------------------------------------------- WithRatings splice ----
+
+enum class Stamps { kZero, kNonzero, kMixed };
+
+Timestamp DrawStamp(Stamps stamps, util::Rng& rng) {
+  switch (stamps) {
+    case Stamps::kZero:
+      return 0;
+    case Stamps::kNonzero:
+      return 1000 + static_cast<Timestamp>(rng.NextBounded(1000));
+    case Stamps::kMixed:
+      return rng.NextBounded(2) == 0
+                 ? 0
+                 : 1000 + static_cast<Timestamp>(rng.NextBounded(1000));
+  }
+  return 0;
+}
+
+// 30 users x 20 items at ~30 % density.  User 0 and item 0 stay empty so
+// batches also land in empty rows and columns.
+RatingMatrix SpliceBase(Stamps stamps) {
+  util::Rng rng(7);
+  RatingMatrixBuilder b(30, 20);
+  for (UserId u = 1; u < 30; ++u) {
+    for (ItemId i = 1; i < 20; ++i) {
+      if (rng.NextBounded(10) < 3) {
+        b.Add(u, i, static_cast<Rating>(1 + rng.NextBounded(5)),
+              DrawStamp(stamps, rng));
+      }
+    }
+  }
+  return b.Build();
+}
+
+// `size` ratings: about half overwrite a stored cell, the rest go to
+// random cells (mostly fresh); from two ratings on, the last one re-rates
+// the batch's first cell with another value.
+std::vector<RatingTriple> SpliceBatch(const RatingMatrix& m, std::size_t size,
+                                      Stamps stamps, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto stored = m.ToTriples();
+  std::vector<RatingTriple> batch;
+  while (batch.size() + (size >= 2 ? 1 : 0) < size) {
+    RatingTriple t;
+    if (rng.NextBounded(2) == 0) {
+      const RatingTriple& old = stored[rng.NextBounded(stored.size())];
+      t.user = old.user;
+      t.item = old.item;
+    } else {
+      t.user = static_cast<UserId>(rng.NextBounded(m.num_users()));
+      t.item = static_cast<ItemId>(rng.NextBounded(m.num_items()));
+    }
+    t.value = static_cast<Rating>(1 + rng.NextBounded(5));
+    t.timestamp = DrawStamp(stamps, rng);
+    batch.push_back(t);
+  }
+  if (size >= 2) {
+    RatingTriple again = batch.front();
+    again.value = again.value == 5.0F ? 1.0F : again.value + 1.0F;
+    again.timestamp = DrawStamp(stamps, rng);
+    batch.push_back(again);
+  }
+  return batch;
+}
+
+// The fold's reference: the builder over every stored rating plus the batch.
+RatingMatrix Rebuilt(const RatingMatrix& m, std::span<const RatingTriple> batch) {
+  RatingMatrixBuilder b(m.num_users(), m.num_items());
+  for (const auto& t : m.ToTriples()) b.Add(t);
+  for (const auto& t : batch) b.Add(t);
+  return b.Build();
+}
+
+void ExpectSameMatrix(const RatingMatrix& got, const RatingMatrix& want) {
+  ASSERT_EQ(got.num_users(), want.num_users());
+  ASSERT_EQ(got.num_items(), want.num_items());
+  ASSERT_EQ(got.num_ratings(), want.num_ratings());
+  EXPECT_EQ(got.has_timestamps(), want.has_timestamps());
+  for (UserId u = 0; u < got.num_users(); ++u) {
+    const auto a = got.UserRow(u);
+    const auto b = want.UserRow(u);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "row " << u;
+    const auto ta = got.UserRowTimestamps(u);
+    const auto tb = want.UserRowTimestamps(u);
+    EXPECT_TRUE(std::equal(ta.begin(), ta.end(), tb.begin(), tb.end()))
+        << "timestamps of row " << u;
+    EXPECT_EQ(got.UserMean(u), want.UserMean(u)) << "user " << u;
+  }
+  for (ItemId i = 0; i < got.num_items(); ++i) {
+    const auto a = got.ItemCol(i);
+    const auto b = want.ItemCol(i);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "column " << i;
+    EXPECT_EQ(got.ItemMean(i), want.ItemMean(i)) << "item " << i;
+  }
+  EXPECT_EQ(got.GlobalMean(), want.GlobalMean());
+}
+
+TEST(MatrixSplice, WithRatingsEqualsTheBuilderForEveryBatchShape) {
+  for (const Stamps base_stamps : {Stamps::kZero, Stamps::kNonzero, Stamps::kMixed}) {
+    const RatingMatrix m = SpliceBase(base_stamps);
+    ASSERT_EQ(m.has_timestamps(), base_stamps != Stamps::kZero);
+    for (const std::size_t size : {1U, 2U, 5U, 125U}) {
+      for (const Stamps stamps : {Stamps::kZero, Stamps::kNonzero, Stamps::kMixed}) {
+        const auto batch = SpliceBatch(m, size, stamps, 100 + size);
+        ASSERT_EQ(batch.size(), size);
+        SCOPED_TRACE(::testing::Message()
+                     << "base stamps " << static_cast<int>(base_stamps)
+                     << ", batch of " << size << ", batch stamps "
+                     << static_cast<int>(stamps));
+        const RatingMatrix spliced = m.WithRatings(batch);
+        ExpectSameMatrix(spliced, Rebuilt(m, batch));
+        EXPECT_NO_THROW(spliced.DebugValidate());
+      }
+    }
+  }
+}
+
+TEST(MatrixSplice, CoversFreshCellsOverwritesAndRepeats) {
+  // Pins what the batch shapes above exercise, so a generator change
+  // cannot quietly drop a case.
+  const RatingMatrix m = SpliceBase(Stamps::kNonzero);
+  const auto batch = SpliceBatch(m, 125, Stamps::kMixed, 225);
+  std::size_t fresh = 0;
+  std::size_t overwrites = 0;
+  for (const auto& t : batch) {
+    if (m.HasRating(t.user, t.item)) {
+      ++overwrites;
+    } else {
+      ++fresh;
+    }
+  }
+  EXPECT_GT(fresh, 0U);
+  EXPECT_GT(overwrites, 0U);
+  EXPECT_EQ(batch.back().user, batch.front().user);
+  EXPECT_EQ(batch.back().item, batch.front().item);
+  EXPECT_NE(batch.back().value, batch.front().value);
+  EXPECT_TRUE(std::any_of(batch.begin(), batch.end(),
+                          [](const RatingTriple& t) { return t.user == 0; }));
+}
+
+TEST(MatrixSplice, TimestampsDropWhenTheirLastNonzeroIsOverwritten) {
+  RatingMatrixBuilder b(2, 2);
+  b.Add(0, 0, 3, 100);
+  b.Add(1, 1, 4);
+  const RatingMatrix m = b.Build();
+  ASSERT_TRUE(m.has_timestamps());
+  const RatingTriple overwrite{0, 0, 5, 0};
+  const RatingMatrix spliced = m.WithRatings({&overwrite, 1});
+  ExpectSameMatrix(spliced, Rebuilt(m, {&overwrite, 1}));
+  EXPECT_FALSE(spliced.has_timestamps());
+}
+
+TEST(MatrixSplice, EmptyBatchOnAnEmptyMatrix) {
+  const RatingMatrix empty;
+  ExpectSameMatrix(empty.WithRatings({}), Rebuilt(empty, {}));
+  EXPECT_NO_THROW(empty.WithRatings({}).DebugValidate());
+}
+
+TEST(MatrixSplice, RejectsNonFiniteRatings) {
+  const RatingMatrix m = SpliceBase(Stamps::kZero);
+  for (const Rating bad : {std::numeric_limits<Rating>::quiet_NaN(),
+                           std::numeric_limits<Rating>::infinity()}) {
+    const std::vector<RatingTriple> batch{{1, 1, 3.0F, 0}, {2, 2, bad, 0}};
+    EXPECT_THROW(m.WithRatings(batch), util::DimensionError);
+  }
+}
+
+TEST(MatrixSplice, RejectsOutOfRangeIds) {
+  const RatingMatrix m = SpliceBase(Stamps::kZero);
+  const std::vector<RatingTriple> bad_user{{1, 1, 3.0F, 0}, {30, 1, 3.0F, 0}};
+  EXPECT_THROW(m.WithRatings(bad_user), util::ConfigError);
+  const std::vector<RatingTriple> bad_item{{1, 20, 3.0F, 0}};
+  EXPECT_THROW(m.WithRatings(bad_item), util::ConfigError);
 }
 
 TEST(DenseMatrix, IndexingAndFill) {

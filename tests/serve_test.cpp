@@ -462,24 +462,37 @@ TEST_F(ServeTest, DispatchFaultBreaksPromiseNotTheClient) {
   EXPECT_EQ(stack.ServeSync(Request::Predict(0, 0)).code, StatusCode::kShed);
 }
 
-TEST_F(ServeTest, BreakerTripsAndRecoversThroughTheStack) {
+// Full fusion faults on every request until the breaker steps the stack
+// down to the SIR′ tier: planned-rung misses score bad.
+void TripBreaker(ServingStack& stack) {
+  ScopedFailPoint guard("cfsf.predict", "always");
+  for (int i = 0; i < 16 && stack.breaker().level() == 0; ++i) {
+    stack.ServeSync(Request::Predict(0, 0));
+  }
+  EXPECT_GE(stack.breaker().trips(), 1u);
+  EXPECT_EQ(stack.breaker().level(), 1u);
+}
+
+TEST_F(ServeTest, BreakerTripsAndRefusesRankingThroughTheStack) {
+  // A one-hour cooldown keeps the breaker open for the whole test, so the
+  // refusal below cannot race a half-open probe.
   ServingOptions options = SmallStack();
   options.num_workers = 1;  // keep outcome ordering deterministic
+  options.breaker.cooldown = std::chrono::hours(1);
   ServingStack stack(Models(), options);
-  {
-    // Full fusion faults on every request: planned-rung misses score bad,
-    // the breaker steps the stack down to the SIR′ tier.
-    ScopedFailPoint guard("cfsf.predict", "always");
-    for (int i = 0; i < 16 && stack.breaker().level() == 0; ++i) {
-      stack.ServeSync(Request::Predict(0, 0));
-    }
-    EXPECT_GE(stack.breaker().trips(), 1u);
-    EXPECT_EQ(stack.breaker().level(), 1u);
-  }
+  TripBreaker(stack);
   // A degraded stack cannot rank: top-N refuses with kBreakerOpen
   // (and the refusal must not itself count as a bad outcome).
   const Response refused = stack.ServeSync(Request::TopN(0, 5));
   EXPECT_EQ(refused.code, StatusCode::kBreakerOpen);
+  EXPECT_EQ(stack.breaker().level(), 1u);
+}
+
+TEST_F(ServeTest, BreakerTripsAndRecoversThroughTheStack) {
+  ServingOptions options = SmallStack();
+  options.num_workers = 1;  // keep outcome ordering deterministic
+  ServingStack stack(Models(), options);
+  TripBreaker(stack);
   // Fault cleared: half-open probes climb back to full fusion.
   for (int i = 0; i < 5000 && stack.breaker().level() != 0; ++i) {
     stack.ServeSync(Request::Predict(0, 0));
@@ -601,6 +614,35 @@ TEST_F(ServeTest, DeltaFolderFoldsAckedRatingsIntoANewGeneration) {
   const Response predict = stack.ServeSync(Request::Predict(2, 5));
   ASSERT_EQ(predict.code, StatusCode::kOk);
   EXPECT_TRUE(std::isfinite(predict.predictions[0].value));
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ServeTest, DeltaFolderTimesEachPublishingFold) {
+  if (!obs::MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
+  const std::string dir = FreshWalDir("cfsf_serve_delta_fold_latency");
+  wal::WriteAheadLog log(dir);
+  ModelGeneration models;
+  serve::DeltaFolder folder(log, models, FreshModel());
+  const obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
+      obs::names::kWalFoldLatencyUs, obs::LatencyBucketsUs());
+  const std::uint64_t before = latency.Count();
+
+  // An empty drain folds nothing and records nothing.
+  EXPECT_EQ(folder.FoldOnce(), 0u);
+  EXPECT_EQ(latency.Count(), before);
+  // One sample per publishing fold, whatever the batch size.
+  log.Append(matrix::RatingTriple{1, 2, 4.0F, 0}, /*require_durable=*/true);
+  EXPECT_EQ(folder.FoldOnce(), 1u);
+  EXPECT_EQ(latency.Count(), before + 1);
+  log.Append(matrix::RatingTriple{3, 4, 2.0F, 0}, /*require_durable=*/true);
+  log.Append(matrix::RatingTriple{5, 6, 5.0F, 0}, /*require_durable=*/true);
+  EXPECT_EQ(folder.FoldOnce(), 2u);
+  EXPECT_EQ(latency.Count(), before + 2);
+  // A drain of only unfoldable records publishes nothing, so no sample.
+  log.Append(matrix::RatingTriple{100000, 2, 4.0F, 0}, /*require_durable=*/true);
+  EXPECT_EQ(folder.FoldOnce(), 1u);
+  EXPECT_EQ(latency.Count(), before + 2);
+  EXPECT_EQ(folder.publishes(), 2u);
   std::filesystem::remove_all(dir);
 }
 

@@ -2,13 +2,18 @@
 // the user-user similarity matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <set>
+#include <vector>
 
 #include "data/synthetic.hpp"
 #include "similarity/item_similarity.hpp"
 #include "similarity/kernels.hpp"
 #include "similarity/user_similarity.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace cfsf::sim {
 namespace {
@@ -359,6 +364,136 @@ TEST(Gis, RefreshValidatesInputs) {
   const auto wrong_shape = b.Build();
   const matrix::ItemId touched[] = {0};
   EXPECT_THROW(gis.RefreshItems(wrong_shape, touched), util::ConfigError);
+}
+
+// ------------------------------------------------- RefreshItems splice ----
+
+// What RefreshItems must leave behind, written the slow way: each
+// refreshed row recomputed outright; every other row with its stale
+// entries erased and the fresh ones appended, then std::sort in row order
+// and the max_neighbors cap.
+std::vector<std::vector<Neighbor>> ReferenceRefresh(
+    const GlobalItemSimilarity& before, const matrix::RatingMatrix& m,
+    std::span<const matrix::ItemId> items) {
+  const GisConfig& config = before.config();
+  const std::set<matrix::ItemId> touched(items.begin(), items.end());
+  // Eq. 5 of refreshed item `a` against `b`, if it passes the filters.
+  const auto fresh = [&](matrix::ItemId a, matrix::ItemId b) -> std::optional<float> {
+    const auto r = PearsonSparse(m.ItemCol(a), m.ItemCol(b), m.ItemMean(a),
+                                 m.ItemMean(b));
+    if (r.overlap < config.min_overlap || !(r.value > config.min_similarity)) {
+      return std::nullopt;
+    }
+    return static_cast<float>(r.value);
+  };
+  std::vector<std::vector<Neighbor>> rows(m.num_items());
+  for (matrix::ItemId j = 0; j < m.num_items(); ++j) {
+    auto& row = rows[j];
+    if (touched.contains(j)) {
+      for (matrix::ItemId b = 0; b < m.num_items(); ++b) {
+        if (b == j) continue;
+        if (const auto sim = fresh(j, b)) row.push_back(Neighbor{b, *sim});
+      }
+    } else {
+      for (const auto& n : before.Neighbors(j)) {
+        if (!touched.contains(n.index)) row.push_back(n);
+      }
+      for (const auto a : touched) {
+        if (const auto sim = fresh(a, j)) row.push_back(Neighbor{a, *sim});
+      }
+    }
+    std::sort(row.begin(), row.end(), [](const Neighbor& x, const Neighbor& y) {
+      if (x.similarity != y.similarity) return x.similarity > y.similarity;
+      return x.index < y.index;
+    });
+    if (config.max_neighbors != 0 && row.size() > config.max_neighbors) {
+      row.resize(config.max_neighbors);
+    }
+  }
+  return rows;
+}
+
+// A synthetic matrix whose items 0 and 1 have identical columns, so their
+// similarities to every other item tie exactly once both come from the
+// refresh kernel: the merge must break those ties by item id.
+matrix::RatingMatrix TwinColumnMatrix() {
+  data::SyntheticConfig config;
+  config.num_users = 60;
+  config.num_items = 40;
+  config.min_ratings_per_user = 12;
+  config.log_mean = 3.0;
+  const auto base = data::GenerateSynthetic(config);
+  matrix::RatingMatrixBuilder b(base.num_users(), base.num_items());
+  for (const auto& t : base.ToTriples()) {
+    if (t.item == 1) continue;
+    b.Add(t);
+    if (t.item == 0) b.Add(t.user, 1, t.value, t.timestamp);
+  }
+  return b.Build();
+}
+
+void ExpectRefreshMatchesReference(std::size_t max_neighbors) {
+  matrix::RatingMatrix m = TwinColumnMatrix();
+  GisConfig config;
+  config.max_neighbors = max_neighbors;
+  auto gis = GlobalItemSimilarity::Build(m, config);
+
+  const auto refresh_and_compare = [&](std::vector<matrix::ItemId> items) {
+    const GlobalItemSimilarity before = gis;
+    gis.RefreshItems(m, items);
+    const auto want = ReferenceRefresh(before, m, items);
+    for (matrix::ItemId j = 0; j < m.num_items(); ++j) {
+      const auto got = gis.Neighbors(j);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want[j].begin(), want[j].end()))
+          << "row " << j << " after refreshing " << ::testing::PrintToString(items);
+    }
+    EXPECT_NO_THROW(gis.DebugValidate());
+  };
+
+  // The twins against each other: 1 fresh vs 0 stored, then 0 fresh vs
+  // 1 stored, so a tie is resolved both ways round.
+  refresh_and_compare({1});
+  refresh_and_compare({0});
+  refresh_and_compare({1});
+
+  // Folded batches: fresh cells and overwrites, repeated touched items.
+  util::Rng rng(11);
+  for (const std::size_t size : {1U, 3U, 10U, 25U}) {
+    std::vector<matrix::RatingTriple> batch;
+    std::vector<matrix::ItemId> items;
+    for (std::size_t k = 0; k < size; ++k) {
+      const auto user = static_cast<matrix::UserId>(rng.NextBounded(m.num_users()));
+      const auto item = static_cast<matrix::ItemId>(2 + rng.NextBounded(m.num_items() - 2));
+      batch.push_back({user, item, static_cast<float>(1 + rng.NextBounded(5)), 0});
+      items.push_back(item);
+      if (k % 4 == 0) items.push_back(item);
+    }
+    m = m.WithRatings(batch);
+    refresh_and_compare(items);
+  }
+}
+
+TEST(GisSplice, RefreshEqualsEraseAppendSortUncapped) {
+  ExpectRefreshMatchesReference(0);
+}
+
+TEST(GisSplice, RefreshEqualsEraseAppendSortCapped) {
+  ExpectRefreshMatchesReference(20);
+}
+
+TEST(GisSplice, TwinItemsTieInRowsThatHoldBoth) {
+  // Pins the premise of the tests above: after both twins are refreshed,
+  // some row holds both at one similarity.
+  const auto m = TwinColumnMatrix();
+  auto gis = GlobalItemSimilarity::Build(m);
+  const matrix::ItemId twins[] = {0, 1};
+  gis.RefreshItems(m, twins);
+  std::size_t ties = 0;
+  for (matrix::ItemId j = 2; j < m.num_items(); ++j) {
+    const double a = gis.Similarity(j, 0);
+    if (a > 0.0 && a == gis.Similarity(j, 1)) ++ties;
+  }
+  EXPECT_GT(ties, 0U);
 }
 
 // ------------------------------------------------------ user similarity ----
