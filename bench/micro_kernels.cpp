@@ -56,13 +56,11 @@ BENCHMARK(BM_PearsonSparseItems);
 
 void BM_GisBuild(benchmark::State& state) {
   const auto& m = World();
-  sim::GisConfig config;
-  config.parallel = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::GlobalItemSimilarity::Build(m, config));
+    benchmark::DoNotOptimize(sim::GlobalItemSimilarity::Build(m));
   }
 }
-BENCHMARK(BM_GisBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GisBuild)->Unit(benchmark::kMillisecond);
 
 void BM_GisRefreshOneItem(benchmark::State& state) {
   const auto& m = World();

@@ -29,8 +29,8 @@ struct CfsfConfig {
   /// weighting) — the top-M ordering that drives SIR′/SUIR′ is sensitive
   /// to both.
   sim::GisConfig gis{.min_similarity = 0.0, .min_overlap = 4,
-                     .max_neighbors = 0, .significance_weighting = true,
-                     .significance_cutoff = 20, .parallel = true};
+                     .significance_weighting = true,
+                     .significance_cutoff = 20};
   std::size_t kmeans_max_iterations = 25;
   std::uint64_t seed = 7;                 // K-means initialisation
   /// Pseudo-count shrinking Eq. 8's cluster deviation toward the item's

@@ -76,9 +76,7 @@ void CfsfModel::Fit(const matrix::RatingMatrix& train) {
 
   // Step 1: GIS (Eq. 5), thresholded and similarity-descending.
   profiler.Begin("gis");
-  sim::GisConfig gis_config = config_.gis;
-  gis_config.parallel = config_.parallel;
-  gis_ = sim::GlobalItemSimilarity::Build(train_, gis_config);
+  gis_ = sim::GlobalItemSimilarity::Build(train_, config_.gis);
 
   // Step 2: K-means user clusters (Eq. 6).
   profiler.Begin("kmeans");

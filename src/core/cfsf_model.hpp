@@ -127,9 +127,10 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
   /// `ratings` folded in — one matrix merge (a later triple for the same
   /// cell wins), one RefreshItems over the touched items, and smoothing
   /// rebuilt through Restore() under the existing cluster assignments
-  /// (K-means is not re-run; call Fit() for that).  With an uncapped GIS
-  /// one batch equals the same records folded one at a time; capped GIS
-  /// rows depend on the batching.
+  /// (K-means is not re-run; call Fit() for that).  The result equals
+  /// Restore(config, merged matrix, GlobalItemSimilarity::Build(merged
+  /// matrix), same assignments) bit for bit, so one batch also equals the
+  /// same records folded one at a time.
   std::unique_ptr<CfsfModel> WithRatings(
       std::span<const matrix::RatingTriple> ratings) const;
 

@@ -86,7 +86,7 @@ void WriteConfig(std::ostream& out, const CfsfConfig& c) {
   WritePod(out, static_cast<std::uint32_t>(c.gis.kernel));
   WritePod(out, c.gis.min_similarity);
   WriteU64(out, c.gis.min_overlap);
-  WriteU64(out, c.gis.max_neighbors);
+  WriteU64(out, 0);  // retired GIS row cap (max_neighbors); always 0
   WritePod(out, static_cast<std::uint8_t>(c.gis.significance_weighting));
   WriteU64(out, c.gis.significance_cutoff);
   WriteU64(out, c.kmeans_max_iterations);
@@ -113,10 +113,20 @@ CfsfConfig ReadConfig(std::istream& in) {
   c.lambda = ReadPod<double>(in);
   c.delta = ReadPod<double>(in);
   c.epsilon = ReadPod<double>(in);
-  c.gis.kernel = static_cast<sim::ItemKernel>(ReadPod<std::uint32_t>(in));
+  // Configs this code cannot honour are refused as ConfigError, which
+  // LoadModelWithRetry does not retry.
+  const auto kernel = ReadPod<std::uint32_t>(in);
+  CFSF_REQUIRE(kernel == static_cast<std::uint32_t>(sim::ItemKernel::kPearson) ||
+                   kernel == static_cast<std::uint32_t>(sim::ItemKernel::kCosine),
+               "bundle config gis.kernel: unknown item kernel " +
+                   std::to_string(kernel));
+  c.gis.kernel = static_cast<sim::ItemKernel>(kernel);
   c.gis.min_similarity = ReadPod<double>(in);
   c.gis.min_overlap = ReadU64(in);
-  c.gis.max_neighbors = ReadU64(in);
+  const std::uint64_t row_cap = ReadU64(in);
+  CFSF_REQUIRE(row_cap == 0,
+               "bundle config gis.max_neighbors: GIS rows can no longer be "
+               "capped (got " + std::to_string(row_cap) + ")");
   c.gis.significance_weighting = ReadPod<std::uint8_t>(in) != 0;
   c.gis.significance_cutoff = ReadU64(in);
   c.kmeans_max_iterations = ReadU64(in);

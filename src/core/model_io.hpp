@@ -46,7 +46,9 @@ void SaveModel(const CfsfModel& model, const std::string& path);
 void SaveModelLegacyV1(const CfsfModel& model, const std::string& path);
 
 /// Reads a model bundle (v1 or v2); throws IoError on missing/corrupt/
-/// mismatched files — for v2, the message names the failing section.
+/// mismatched files — for v2, the message names the failing section — and
+/// ConfigError, naming the field, for a config this code cannot honour: an
+/// unknown GIS kernel or a nonzero retired GIS row cap (max_neighbors).
 std::unique_ptr<CfsfModel> LoadModel(const std::string& path);
 
 /// Bounded-retry load for transient I/O failures (NFS hiccups, a bundle

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "parallel/parallel_for.hpp"
 #include "similarity/kernels.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -16,20 +15,13 @@ namespace cfsf::sim {
 
 namespace {
 
-/// Accumulators for one item pair restricted to co-rating users.
-struct PairAcc {
+/// Eq. 5 sums for one (item, partner) pair over their co-raters.
+struct PairSums {
   double dot = 0.0;
-  double sq_a = 0.0;  // Σ dev_a² over co-raters (a = smaller item id)
-  double sq_b = 0.0;
+  double sq_self = 0.0;   // Σ dev_item² over co-raters
+  double sq_other = 0.0;  // Σ dev_partner² over co-raters
   std::uint32_t count = 0;
 };
-
-std::size_t TriSize(std::size_t n) { return n * (n - 1) / 2; }
-
-/// Index of pair (a, b) with a < b in a row-major upper triangle.
-inline std::size_t TriIndex(std::size_t n, std::size_t a, std::size_t b) {
-  return a * n - a * (a + 1) / 2 + (b - a - 1);
-}
 
 /// Row order: descending similarity, ascending item id on ties.  Ids are
 /// unique within a row, so this is a strict total order on its entries.
@@ -45,13 +37,65 @@ void SortRow(std::vector<Neighbor>& row) {
   std::sort(row.data(), row.data() + row.size(), RowOrder);
 }
 
-bool PassesFilters(const GisConfig& config, double sim, std::size_t overlap) {
-  return overlap >= config.min_overlap && sim > config.min_similarity;
+/// What Eq. 5 subtracts from each rating of item i: r̄_i under PCC, 0
+/// under the cosine (PCS) kernel, whose "deviation" is the raw rating.
+std::vector<double> DeviationOrigins(const matrix::RatingMatrix& matrix,
+                                     ItemKernel kernel) {
+  std::vector<double> origin(matrix.num_items(), 0.0);
+  if (kernel == ItemKernel::kPearson) {
+    for (std::size_t i = 0; i < origin.size(); ++i) {
+      origin[i] = matrix.ItemMean(static_cast<matrix::ItemId>(i));
+    }
+  }
+  return origin;
 }
 
-double ApplySignificance(const GisConfig& config, double sim, std::size_t overlap) {
-  if (!config.significance_weighting) return sim;
-  return SignificanceWeight(sim, overlap, config.significance_cutoff);
+/// Accumulate step of the Eq. 5 kernel: walks the raters of `item` in
+/// ascending user order and adds each one's deviation products with every
+/// partner b >= first_partner they rated into sums[b].  Every pair thus
+/// sums its co-raters in ascending user order, whichever item of the pair
+/// the walk starts from, so Build and RefreshItems produce the same bits.
+void AccumulatePairs(const matrix::RatingMatrix& matrix,
+                     std::span<const double> origin, matrix::ItemId item,
+                     matrix::ItemId first_partner, std::vector<PairSums>& sums) {
+  for (const auto& rater : matrix.ItemCol(item)) {
+    const double dev_self = rater.value - origin[item];
+    const auto row = matrix.UserRow(rater.index);
+    const auto* it = std::lower_bound(
+        row.data(), row.data() + row.size(), first_partner,
+        [](const matrix::Entry& e, matrix::ItemId id) { return e.index < id; });
+    for (; it != row.data() + row.size(); ++it) {
+      const double dev_other = it->value - origin[it->index];
+      PairSums& pair = sums[it->index];
+      pair.dot += dev_self * dev_other;
+      pair.sq_self += dev_self * dev_self;
+      pair.sq_other += dev_other * dev_other;
+      ++pair.count;
+    }
+  }
+}
+
+/// Finish step: turns sums[first_partner..Q) into Eq. 5 similarities
+/// (significance-weighted when configured), calls emit(partner, sim) for
+/// each pair that passes min_overlap and min_similarity, and zeroes every
+/// slot for the next item.  The item's own slot is never emitted.
+template <typename Emit>
+void FinishPairs(const GisConfig& config, matrix::ItemId item,
+                 matrix::ItemId first_partner, std::vector<PairSums>& sums,
+                 Emit&& emit) {
+  for (std::size_t b = first_partner; b < sums.size(); ++b) {
+    if (sums[b].count == 0) continue;
+    const PairSums pair = std::exchange(sums[b], PairSums{});
+    if (b == item) continue;
+    const double denom = std::sqrt(pair.sq_self) * std::sqrt(pair.sq_other);
+    if (denom <= 0.0) continue;
+    double sim = pair.dot / denom;
+    if (config.significance_weighting) {
+      sim = SignificanceWeight(sim, pair.count, config.significance_cutoff);
+    }
+    if (pair.count < config.min_overlap || !(sim > config.min_similarity)) continue;
+    emit(static_cast<matrix::ItemId>(b), static_cast<float>(sim));
+  }
 }
 
 }  // namespace
@@ -59,87 +103,22 @@ double ApplySignificance(const GisConfig& config, double sim, std::size_t overla
 GlobalItemSimilarity GlobalItemSimilarity::Build(
     const matrix::RatingMatrix& matrix, const GisConfig& config) {
   const std::size_t q = matrix.num_items();
-  const std::size_t p = matrix.num_users();
-
   GlobalItemSimilarity gis;
   gis.config_ = config;
   gis.rows_.assign(q, {});
-  if (q < 2) return gis;
 
-  // Cache item means once; the deviations in Eq. 5 are from r̄_i over all
-  // raters of i.  Under the cosine (PCS) kernel the "deviation" is the
-  // raw rating — the same accumulation then yields the cosine.
-  std::vector<double> item_mean(q, 0.0);
-  if (config.kernel == ItemKernel::kPearson) {
-    for (std::size_t i = 0; i < q; ++i) {
-      item_mean[i] = matrix.ItemMean(static_cast<matrix::ItemId>(i));
-    }
-  }
-
-  using AccVector = std::vector<PairAcc>;
-  par::ForOptions options;
-  options.serial = !config.parallel;
-  // Each partial holds the full triangle (~16 MB at Q=1000); bound the
-  // number of partials instead of letting the chunk count scale with the
-  // thread count.
-  options.grain = std::max<std::size_t>(1, p / 4);
-
-  auto fold_user = [&](AccVector& acc, std::size_t u) {
-    const auto row = matrix.UserRow(static_cast<matrix::UserId>(u));
-    for (std::size_t x = 0; x < row.size(); ++x) {
-      const std::size_t a = row[x].index;
-      const double dev_a = row[x].value - item_mean[a];
-      for (std::size_t y = x + 1; y < row.size(); ++y) {
-        const std::size_t b = row[y].index;
-        const double dev_b = row[y].value - item_mean[b];
-        PairAcc& pair = acc[TriIndex(q, a, b)];
-        pair.dot += dev_a * dev_b;
-        pair.sq_a += dev_a * dev_a;
-        pair.sq_b += dev_b * dev_b;
-        ++pair.count;
-      }
-    }
-  };
-
-  const AccVector totals = par::ParallelReduce<AccVector>(
-      0, p,
-      [&] { return AccVector(TriSize(q)); },
-      fold_user,
-      [](AccVector& total, AccVector& partial) {
-        if (total.empty()) {
-          total = std::move(partial);
-          return;
-        }
-        for (std::size_t k = 0; k < total.size(); ++k) {
-          total[k].dot += partial[k].dot;
-          total[k].sq_a += partial[k].sq_a;
-          total[k].sq_b += partial[k].sq_b;
-          total[k].count += partial[k].count;
-        }
-      },
-      AccVector{}, options);
-
-  // Materialise filtered, sorted neighbour rows.
-  for (std::size_t a = 0; a < q; ++a) {
-    for (std::size_t b = a + 1; b < q; ++b) {
-      const PairAcc& pair = totals[TriIndex(q, a, b)];
-      if (pair.count == 0) continue;
-      const double denom = std::sqrt(pair.sq_a) * std::sqrt(pair.sq_b);
-      if (denom <= 0.0) continue;
-      double sim = pair.dot / denom;
-      sim = ApplySignificance(config, sim, pair.count);
-      if (!PassesFilters(config, sim, pair.count)) continue;
-      gis.rows_[a].push_back(
-          Neighbor{static_cast<std::uint32_t>(b), static_cast<float>(sim)});
-      gis.rows_[b].push_back(
-          Neighbor{static_cast<std::uint32_t>(a), static_cast<float>(sim)});
-    }
+  // Each pair (a, b), a < b, is computed once from a and mirrored into b.
+  const auto origin = DeviationOrigins(matrix, config.kernel);
+  std::vector<PairSums> sums(q);
+  for (matrix::ItemId a = 0; a < q; ++a) {
+    AccumulatePairs(matrix, origin, a, a + 1, sums);
+    FinishPairs(config, a, a + 1, sums, [&](matrix::ItemId b, float sim) {
+      gis.rows_[a].push_back(Neighbor{b, sim});
+      gis.rows_[b].push_back(Neighbor{a, sim});
+    });
   }
   for (auto& row : gis.rows_) {
     SortRow(row);
-    if (config.max_neighbors != 0 && row.size() > config.max_neighbors) {
-      row.resize(config.max_neighbors);
-    }
     row.shrink_to_fit();
   }
   return gis;
@@ -213,34 +192,20 @@ void GlobalItemSimilarity::RefreshItems(const matrix::RatingMatrix& matrix,
     }
   }
 
-  // Recompute similarities of each affected item against every other item
-  // with the direct column-merge kernel.
+  // Recompute each affected item against every other item with Build's
+  // Eq. 5 kernel.
+  const auto origin = DeviationOrigins(matrix, config_.kernel);
+  std::vector<PairSums> sums(q);
   std::vector<std::vector<Neighbor>> fresh(q);  // fresh[j] = new entries into row j
   for (const auto item : affected) {
-    const auto col_a = matrix.ItemCol(item);
-    const double mean_a = matrix.ItemMean(item);
     auto& own_row = rows_[item];
     own_row.clear();
-    for (std::size_t b = 0; b < q; ++b) {
-      if (b == item) continue;
-      const auto col_b = matrix.ItemCol(static_cast<matrix::ItemId>(b));
-      const auto result =
-          config_.kernel == ItemKernel::kPearson
-              ? PearsonSparse(col_a, col_b, mean_a,
-                              matrix.ItemMean(static_cast<matrix::ItemId>(b)))
-              : CosineSparse(col_a, col_b);
-      double sim = ApplySignificance(config_, result.value, result.overlap);
-      if (!PassesFilters(config_, sim, result.overlap)) continue;
-      own_row.push_back(
-          Neighbor{static_cast<std::uint32_t>(b), static_cast<float>(sim)});
-      if (is_affected[b] == 0) {
-        fresh[b].push_back(Neighbor{item, static_cast<float>(sim)});
-      }
-    }
+    AccumulatePairs(matrix, origin, item, 0, sums);
+    FinishPairs(config_, item, 0, sums, [&](matrix::ItemId b, float sim) {
+      own_row.push_back(Neighbor{b, sim});
+      if (is_affected[b] == 0) fresh[b].push_back(Neighbor{item, sim});
+    });
     SortRow(own_row);
-    if (config_.max_neighbors != 0 && own_row.size() > config_.max_neighbors) {
-      own_row.resize(config_.max_neighbors);
-    }
   }
 
   // Splice the affected items into every other row.  Dropping the stale
@@ -261,9 +226,6 @@ void GlobalItemSimilarity::RefreshItems(const matrix::RatingMatrix& matrix,
     merged.reserve(row.size() + add.size());
     std::merge(row.begin(), row.end(), add.begin(), add.end(),
                std::back_inserter(merged), RowOrder);
-    if (config_.max_neighbors != 0 && merged.size() > config_.max_neighbors) {
-      merged.resize(config_.max_neighbors);
-    }
     row = std::move(merged);
   }
 }
@@ -272,8 +234,6 @@ void GlobalItemSimilarity::DebugValidate() const {
   const std::size_t q = rows_.size();
   for (std::size_t i = 0; i < q; ++i) {
     const auto& row = rows_[i];
-    CFSF_VALIDATE(config_.max_neighbors == 0 || row.size() <= config_.max_neighbors,
-                  "GIS row exceeds the max_neighbors cap");
     for (std::size_t k = 0; k < row.size(); ++k) {
       CFSF_VALIDATE(row[k].index < q, "GIS neighbour id out of range");
       CFSF_VALIDATE(row[k].index != i, "GIS row contains the item itself");
@@ -296,11 +256,9 @@ void GlobalItemSimilarity::DebugValidate() const {
     }
   }
 
-  // PCC is symmetric, so wherever both directions of a pair survived the
-  // thresholds their stored values must agree.  (A missing reciprocal is
-  // legal: max_neighbors truncates rows independently.)  The tolerance
-  // absorbs float rounding between the all-pairs build and the
-  // RefreshItems recomputation path.
+  // Build and RefreshItems compute a pair with one kernel whose sums run
+  // in the same order from either end, and store it in both rows, so every
+  // pair appears in both directions with equal bits.
   std::vector<std::unordered_map<std::uint32_t, float>> by_index(q);
   for (std::size_t i = 0; i < q; ++i) {
     by_index[i].reserve(rows_[i].size());
@@ -309,9 +267,10 @@ void GlobalItemSimilarity::DebugValidate() const {
   for (std::size_t i = 0; i < q; ++i) {
     for (const auto& n : rows_[i]) {
       const auto it = by_index[n.index].find(static_cast<std::uint32_t>(i));
-      if (it == by_index[n.index].end()) continue;
-      CFSF_VALIDATE(std::fabs(it->second - n.similarity) <= 1e-4F,
-                    "GIS must be value-symmetric where both directions exist");
+      CFSF_VALIDATE(it != by_index[n.index].end(),
+                    "GIS pair stored in one direction only");
+      CFSF_VALIDATE(it->second == n.similarity,
+                    "GIS must be value-symmetric");
     }
   }
 }

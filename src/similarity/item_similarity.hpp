@@ -1,12 +1,17 @@
 // Global Item Similarity matrix — the paper's GIS (Section IV-B).
 //
-// All item–item Pearson correlations (Eq. 5) are computed in one pass
-// over the matrix: for each user, every pair of items in their row
-// contributes to that pair's (dot, sq_a, sq_b, count) accumulators.  This
-// costs Σ_u |I{u}|² pair updates instead of Q² row intersections — for the
-// paper's 500×1000 matrix that is ~4.4 M updates instead of ~250 M merge
-// steps.  The pass is parallelised over users with per-chunk triangular
-// accumulators merged at the end.
+// One Eq. 5 kernel computes every item–item Pearson correlation, in two
+// steps per item a.  Accumulate walks a's raters in ascending user order
+// and adds each rater's deviation products into a dense length-Q array
+// keyed by partner item, holding (dot, sq_self, sq_other, count) per
+// partner.  Finish turns each slot into the PCC, applies significance
+// weighting and the min_overlap/min_similarity filters, and casts to
+// float.  Build runs it for every a against partners b > a and mirrors
+// each kept pair; RefreshItems runs it for each touched item against
+// every b.  A pair's sums always run over its co-raters in ascending user
+// order, so a refreshed row equals a rebuilt one bit for bit.  The whole
+// build costs Σ_u |I{u}|(|I{u}|−1)/2 pair updates, ~2.6 M for the paper's
+// 500×1000 matrix, with O(Q) working memory.
 //
 // Per the paper, rows are sorted in descending similarity and thresholds
 // filter "less important items" so "the size of GIS [is] greatly reduced".
@@ -43,13 +48,9 @@ struct GisConfig {
   /// Pairs with fewer co-raters than this are discarded (PCC over one
   /// common rating is meaningless).
   std::size_t min_overlap = 2;
-  /// Cap per-row neighbour count after sorting (0 = unlimited).
-  std::size_t max_neighbors = 0;
   /// Multiply each similarity by min(overlap, cutoff)/cutoff.
   bool significance_weighting = false;
   std::size_t significance_cutoff = 50;
-  /// Use the shared thread pool for the accumulation pass.
-  bool parallel = true;
 };
 
 class GlobalItemSimilarity {
@@ -85,16 +86,19 @@ class GlobalItemSimilarity {
 
   /// Incremental maintenance (the paper's "keep GIS up-to-date" future
   /// work): recompute the rows of `items` — and their appearance in other
-  /// rows — against the given (updated) matrix.  Every other row drops
-  /// its stale entries and merges the fresh ones in, which yields exactly
-  /// the row a full re-sort (then the max_neighbors cap) would.
+  /// rows — against the given (updated) matrix with Build's Eq. 5 kernel.
+  /// Every other row drops its stale entries and merges the fresh ones
+  /// in.  If this GIS equals Build(old) and `matrix` differs from old only
+  /// in the columns of `items`, the result equals Build(matrix) bit for
+  /// bit.
   void RefreshItems(const matrix::RatingMatrix& matrix,
                     std::span<const matrix::ItemId> items);
 
   /// Structural validation sweep: every row similarity-descending with
-  /// ascending-id tie-breaks, similarities finite and inside [-1, 1],
-  /// neighbour ids in range, no self-neighbours, rows within the
-  /// max_neighbors cap.  Throws util::InvariantError on violation.
+  /// ascending-id tie-breaks, similarities finite, inside [-1, 1] and
+  /// above the Eq. 5 threshold, neighbour ids in range, no
+  /// self-neighbours, and every pair stored in both rows with equal
+  /// values.  Throws util::InvariantError on violation.
   void DebugValidate() const;
 
   const GisConfig& config() const { return config_; }

@@ -148,6 +148,24 @@ TEST(GisValidate, RejectsAsymmetricPairValues) {
   EXPECT_THROW(gis.DebugValidate(), util::InvariantError);
 }
 
+// One kernel computes both directions of a pair, so they must agree to
+// the last bit and neither may be missing.
+TEST(GisValidate, RejectsOneUlpAsymmetry) {
+  std::vector<std::vector<sim::Neighbor>> rows(2);
+  rows[0] = {{1, 0.5F}};
+  rows[1] = {{0, std::nextafter(0.5F, 1.0F)}};
+  const auto gis = sim::GlobalItemSimilarity::FromRows(std::move(rows), {});
+  EXPECT_THROW(gis.DebugValidate(), util::InvariantError);
+}
+
+TEST(GisValidate, RejectsMissingReciprocal) {
+  std::vector<std::vector<sim::Neighbor>> rows(3);
+  rows[0] = {{1, 0.5F}, {2, 0.25F}};
+  rows[1] = {{0, 0.5F}};  // row 2 lacks item 0
+  const auto gis = sim::GlobalItemSimilarity::FromRows(std::move(rows), {});
+  EXPECT_THROW(gis.DebugValidate(), util::InvariantError);
+}
+
 // --- ClusterModel::DebugValidate ----------------------------------------
 
 TEST(ClusterModelValidate, FreshlyBuiltModelPasses) {

@@ -14,6 +14,7 @@
 #include "obs/names.hpp"
 #include "similarity/kernels.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace cfsf::core {
 namespace {
@@ -600,11 +601,7 @@ TEST(Incremental, GisRowMatchesRebuild) {
   rebuilt.Fit(model.train());
   const auto a = model.gis().Neighbors(probe.item);
   const auto b = rebuilt.gis().Neighbors(probe.item);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].index, b[k].index);
-    EXPECT_NEAR(a[k].similarity, b[k].similarity, 1e-5);
-  }
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
 }
 
 TEST(Incremental, RejectsBadIds) {
@@ -642,9 +639,9 @@ std::vector<matrix::RatingTriple> FoldBatch(
 }
 
 TEST(Incremental, BatchFoldEqualsOneRecordAtATime) {
-  // With an uncapped GIS every offline artefact is a function of the
-  // merged matrix under fixed cluster assignments, so one WithRatings
-  // call must equal the same records inserted one call at a time.
+  // Every offline artefact is a function of the merged matrix under fixed
+  // cluster assignments, so one WithRatings call must equal the same
+  // records inserted one call at a time.
   const auto split = SmallSplit();
   CfsfModel model(SmallConfig());
   model.Fit(split.train);
@@ -676,25 +673,89 @@ TEST(Incremental, BatchFoldEqualsOneRecordAtATime) {
   }
 }
 
-TEST(Incremental, CappedGisBatchFoldKeepsEveryRecord) {
-  // With GisConfig::max_neighbors set, RefreshItems cannot re-admit a
-  // neighbour that an earlier truncation dropped, so capped rows depend
-  // on how the records were batched and batched-vs-serial equality does
-  // not hold.  Every record must still land, and the rows keep the cap.
-  const auto split = SmallSplit();
-  CfsfConfig config = SmallConfig();
-  config.gis.max_neighbors = 20;
-  CfsfModel model(config);
-  model.Fit(split.train);
-  std::map<std::pair<matrix::UserId, matrix::ItemId>, matrix::Rating> want;
-  const auto batch = FoldBatch(model.train(), &want);
-
-  const std::unique_ptr<CfsfModel> batched = model.WithRatings(batch);
-  for (const auto& [cell, value] : want) {
-    EXPECT_EQ(*batched->train().GetRating(cell.first, cell.second), value);
+// A seeded fold batch of `size` ratings with nonzero timestamps: fresh
+// cells, every fourth record an overwrite of an existing rating, and, for
+// size > 1, the first cell rated again as the last record.
+std::vector<matrix::RatingTriple> SeededFoldBatch(const matrix::RatingMatrix& train,
+                                                  std::size_t size,
+                                                  std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto existing = train.ToTriples();
+  std::vector<matrix::RatingTriple> batch;
+  for (std::size_t k = 0; k < size; ++k) {
+    matrix::RatingTriple t;
+    if (k % 4 == 1) {
+      t = existing[rng.NextBounded(existing.size())];
+      t.value = t.value == 5.0F ? 1.0F : t.value + 1.0F;
+    } else {
+      do {
+        t.user = static_cast<matrix::UserId>(rng.NextBounded(train.num_users()));
+        t.item = static_cast<matrix::ItemId>(rng.NextBounded(train.num_items()));
+      } while (train.HasRating(t.user, t.item));
+      t.value = static_cast<matrix::Rating>(1 + rng.NextBounded(5));
+    }
+    t.timestamp = static_cast<matrix::Timestamp>(1600000000 + k);
+    batch.push_back(t);
   }
-  // Sorted rows within the cap, symmetric where both directions survive.
-  EXPECT_NO_THROW(batched->gis().DebugValidate());
+  if (size > 1) {
+    batch.back() = batch.front();
+    batch.back().value = batch.front().value == 3.0F ? 4.0F : 3.0F;
+    batch.back().timestamp = static_cast<matrix::Timestamp>(1600000000 + size);
+  }
+  return batch;
+}
+
+void ExpectSameModel(const CfsfModel& got, const CfsfModel& want) {
+  ASSERT_EQ(got.train().ToTriples(), want.train().ToTriples());
+  for (matrix::ItemId i = 0; i < want.NumItems(); ++i) {
+    const auto a = got.gis().Neighbors(i);
+    const auto b = want.gis().Neighbors(i);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "GIS row " << i;
+  }
+  const auto& gc = got.cluster_model();
+  const auto& wc = want.cluster_model();
+  for (matrix::UserId u = 0; u < want.NumUsers(); ++u) {
+    const auto gs = gc.SmoothedProfile(u);
+    const auto ws = wc.SmoothedProfile(u);
+    ASSERT_TRUE(std::equal(gs.begin(), gs.end(), ws.begin(), ws.end()))
+        << "smoothed row " << u;
+    const auto gm = gc.OriginalMask(u);
+    const auto wm = wc.OriginalMask(u);
+    ASSERT_TRUE(std::equal(gm.begin(), gm.end(), wm.begin(), wm.end()))
+        << "provenance row " << u;
+    const auto gi = gc.IClusterOf(u);
+    const auto wi = wc.IClusterOf(u);
+    ASSERT_TRUE(std::equal(gi.begin(), gi.end(), wi.begin(), wi.end()))
+        << "iCluster list " << u;
+  }
+  for (matrix::UserId u = 0; u < want.NumUsers(); ++u) {
+    for (matrix::ItemId i = 0; i < want.NumItems(); ++i) {
+      ASSERT_EQ(got.Predict(u, i), want.Predict(u, i)) << "user " << u << ", item " << i;
+    }
+  }
+}
+
+TEST(Incremental, FoldEqualsRefit) {
+  // A fold is a refit under the same cluster assignments: Build's Eq. 5
+  // kernel also refreshes the touched GIS rows, and smoothing and iCluster
+  // are functions of the merged matrix and the assignments.
+  const auto split = SmallSplit();
+  for (const bool parallel : {false, true}) {
+    CfsfConfig config = SmallConfig();
+    config.parallel = parallel;
+    CfsfModel model(config);
+    model.Fit(split.train);
+    for (const std::size_t size : {1U, 5U, 125U}) {
+      SCOPED_TRACE(::testing::Message() << "parallel " << parallel << ", batch " << size);
+      const auto batch = SeededFoldBatch(model.train(), size, 1000 + size);
+      const std::unique_ptr<CfsfModel> folded = model.WithRatings(batch);
+      matrix::RatingMatrix merged = model.train().WithRatings(batch);
+      auto gis = sim::GlobalItemSimilarity::Build(merged, config.gis);
+      const std::unique_ptr<CfsfModel> refit = CfsfModel::Restore(
+          config, std::move(merged), std::move(gis), model.cluster_model().assignments());
+      ExpectSameModel(*folded, *refit);
+    }
+  }
 }
 
 // ---------------------------------------------------------- time decay ----
@@ -785,17 +846,27 @@ TEST(Parallelism, ConcurrentPredictsAreSafeAndConsistent) {
 }
 
 TEST(Parallelism, SerialAndParallelFitsAgree) {
-  const auto split = SmallSplit();
-  CfsfConfig serial = SmallConfig();
+  // The paper-scale matrix at the paper's defaults: the parallel offline
+  // phase must reproduce the serial one bit for bit.
+  const auto train = data::GenerateSynthetic({});
+  CfsfConfig serial;
   serial.parallel = false;
-  CfsfConfig parallel = SmallConfig();
   CfsfModel a(serial);
-  a.Fit(split.train);
-  CfsfModel b(parallel);
-  b.Fit(split.train);
-  for (std::size_t k = 0; k < 50 && k < split.test.size(); ++k) {
-    EXPECT_NEAR(a.Predict(split.test[k].user, split.test[k].item),
-                b.Predict(split.test[k].user, split.test[k].item), 1e-6);
+  a.Fit(train);
+  CfsfModel b;
+  b.Fit(train);
+  for (matrix::ItemId i = 0; i < train.num_items(); ++i) {
+    const auto x = a.gis().Neighbors(i);
+    const auto y = b.gis().Neighbors(i);
+    ASSERT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end())) << "GIS row " << i;
+  }
+  ASSERT_EQ(a.cluster_model().assignments(), b.cluster_model().assignments());
+  util::Rng rng(20091017);
+  for (int k = 0; k < 300; ++k) {
+    const auto user = static_cast<matrix::UserId>(rng.NextBounded(train.num_users()));
+    const auto item = static_cast<matrix::ItemId>(rng.NextBounded(train.num_items()));
+    ASSERT_EQ(a.Predict(user, item), b.Predict(user, item))
+        << "user " << user << ", item " << item;
   }
 }
 

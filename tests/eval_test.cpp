@@ -7,7 +7,10 @@
 #include <vector>
 
 #include "baselines/means.hpp"
+#include "baselines/sir.hpp"
+#include "baselines/sur.hpp"
 #include "core/cfsf_model.hpp"
+#include "data/catalogue.hpp"
 #include "data/protocol.hpp"
 #include "data/synthetic.hpp"
 #include "eval/evaluate.hpp"
@@ -179,6 +182,30 @@ TEST(PredictBatch, AgreesWithPerQueryPredict) {
           << predictor->Name() << " query " << i;
     }
   }
+}
+
+// Golden MAE: the Table II ML_300 Given10 cell (GivenN protocol of Breese
+// et al.) on the default catalogue, at the paper's defaults, pinned to the
+// last bit.  A change that moves any of these values changes the model's
+// results and must say so.
+const data::EvalSplit& Ml300Given10() {
+  static const data::EvalSplit split = data::Catalogue{}.Split(300, 10);
+  return split;
+}
+
+TEST(GoldenMae, CfsfMl300Given10) {
+  core::CfsfModel cfsf;
+  EXPECT_EQ(Evaluate(cfsf, Ml300Given10()).mae, 0.69519586968621305);
+}
+
+TEST(GoldenMae, SurMl300Given10) {
+  baselines::SurPredictor sur;
+  EXPECT_EQ(Evaluate(sur, Ml300Given10()).mae, 0.81938785675897297);
+}
+
+TEST(GoldenMae, SirMl300Given10) {
+  baselines::SirPredictor sir;
+  EXPECT_EQ(Evaluate(sir, Ml300Given10()).mae, 0.83450005893866364);
 }
 
 }  // namespace

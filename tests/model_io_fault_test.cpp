@@ -8,9 +8,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cfsf.hpp"
@@ -19,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/failpoint.hpp"
 #include "robust/fallback.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace cfsf {
@@ -245,6 +248,73 @@ TEST_F(ModelIoFaultTest, LoadWithRetryGivesUpAfterMaxAttempts) {
     EXPECT_EQ(retries.Value(), retries_before + 1);
     EXPECT_EQ(giveups.Value(), giveups_before + 1);
   }
+}
+
+// ------------------------------------------ configs the code refuses ----
+
+// The config section is first: its payload starts after the 8-byte header
+// and its u64 payload size.
+constexpr std::size_t kPayloadStart = 8 + 8;
+
+// Overwrites `size` bytes at `offset` of a v2 bundle's config payload and
+// recomputes the section CRC and the whole-file trailer, so the bundle
+// passes every checksum and only the config parse can refuse it.
+std::string PatchConfigSlot(std::string data, std::size_t offset,
+                            const void* bytes, std::size_t size) {
+  std::uint64_t payload_bytes = 0;
+  std::memcpy(&payload_bytes, data.data() + 8, sizeof(payload_bytes));
+  std::memcpy(data.data() + kPayloadStart + offset, bytes, size);
+  const std::uint32_t crc = util::Crc32(
+      std::string_view(data).substr(kPayloadStart, payload_bytes));
+  std::memcpy(data.data() + kPayloadStart + payload_bytes, &crc, sizeof(crc));
+  const std::uint32_t trailer =
+      util::Crc32(std::string_view(data).substr(0, data.size() - 4));
+  std::memcpy(data.data() + data.size() - 4, &trailer, sizeof(trailer));
+  return data;
+}
+
+// Config payload offsets: three u64 counts and three doubles precede the
+// u32 GIS kernel; then min_similarity (double) and min_overlap (u64)
+// precede the retired max_neighbors slot.
+constexpr std::size_t kKernelSlot = 48;
+constexpr std::size_t kRowCapSlot = 68;
+
+// A patched bundle must be refused with a ConfigError naming the field,
+// and LoadModelWithRetry must not retry it.
+void ExpectConfigRefused(const std::string& path, const std::string& field) {
+  auto& retries =
+      obs::MetricsRegistry::Global().GetCounter("robust.load.retry");
+  const auto retries_before = retries.Value();
+  try {
+    core::LoadModelWithRetry(path);
+    ADD_FAILURE() << "bundle with a patched " << field << " was accepted";
+  } catch (const util::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(retries.Value(), retries_before);
+}
+
+TEST_F(ModelIoFaultTest, NonzeroRowCapSlotIsRefused) {
+  const std::string path = ::testing::TempDir() + "/cfsf_row_cap.bin";
+  core::SaveModel(Model(), path);
+  const std::string data = ReadFileBytes(path);
+  std::uint64_t slot = 1;
+  std::memcpy(&slot, data.data() + kPayloadStart + kRowCapSlot, sizeof(slot));
+  ASSERT_EQ(slot, 0u) << "SaveModel must write 0 into the retired slot";
+  slot = 20;
+  WriteFileBytes(path, PatchConfigSlot(data, kRowCapSlot, &slot, sizeof(slot)));
+  ASSERT_NO_THROW(core::VerifyModel(path));  // every checksum still holds
+  ExpectConfigRefused(path, "gis.max_neighbors");
+}
+
+TEST_F(ModelIoFaultTest, UnknownItemKernelIsRefused) {
+  const std::string path = ::testing::TempDir() + "/cfsf_kernel.bin";
+  core::SaveModel(Model(), path);
+  const std::uint32_t kernel = 2;  // neither Pearson (0) nor cosine (1)
+  WriteFileBytes(path, PatchConfigSlot(ReadFileBytes(path), kKernelSlot,
+                                       &kernel, sizeof(kernel)));
+  ASSERT_NO_THROW(core::VerifyModel(path));
+  ExpectConfigRefused(path, "gis.kernel");
 }
 
 // ----------------------------------------------- armed end-to-end ----
