@@ -26,11 +26,6 @@ void ScbpccPredictor::Fit(const matrix::RatingMatrix& train) {
                                            kconfig.num_clusters,
                                            config_.parallel,
                                            config_.deviation_shrinkage);
-  cluster_members_.assign(kconfig.num_clusters, {});
-  for (std::size_t u = 0; u < train_.num_users(); ++u) {
-    cluster_members_[kmeans.assignments[u]].push_back(
-        static_cast<matrix::UserId>(u));
-  }
 }
 
 double ScbpccPredictor::Predict(matrix::UserId user, matrix::ItemId item) const {
@@ -61,7 +56,7 @@ double ScbpccPredictor::Predict(matrix::UserId user, matrix::ItemId item) const 
   } else {
     std::size_t taken = 0;
     for (const auto& affinity : clusters_.IClusterOf(user)) {
-      for (const auto candidate : cluster_members_[affinity.cluster]) {
+      for (const auto candidate : clusters_.Members(affinity.cluster)) {
         consider(candidate);
       }
       if (++taken >= config_.preselect_clusters) break;

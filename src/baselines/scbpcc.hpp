@@ -59,7 +59,6 @@ class ScbpccPredictor : public eval::Predictor {
   ScbpccConfig config_;
   matrix::RatingMatrix train_;
   cluster::ClusterModel clusters_;
-  std::vector<std::vector<matrix::UserId>> cluster_members_;
 };
 
 }  // namespace cfsf::baselines

@@ -49,45 +49,72 @@ ClusterModel ClusterModel::Build(const matrix::RatingMatrix& matrix,
 
   if (profiler != nullptr) profiler->Begin("smoothing");
 
-  // --- Eq. 8: per-cluster per-item mean-centred deviations -------------
-  model.deviations_ = matrix::DenseMatrix(num_clusters, q);
-  model.has_rating_.assign(num_clusters * q, 0);
+  // --- Members and cluster columns --------------------------------------
+  // Counting sorts over ascending user ids, so each cluster lists its
+  // members ascending and each (c, i) column its raters in ascending
+  // member position.
+  model.member_offsets_.assign(num_clusters + 1, 0);
+  for (std::size_t c = 0; c < num_clusters; ++c) {
+    model.member_offsets_[c + 1] =
+        model.member_offsets_[c] + static_cast<std::uint32_t>(model.cluster_sizes_[c]);
+  }
+  model.members_.resize(p);
+  std::vector<std::uint32_t> position(p);
   {
-    std::vector<double> dev_sum(num_clusters * q, 0.0);
-    std::vector<std::uint32_t> dev_count(num_clusters * q, 0);
-    // Global fallback: item deviation over all raters.
-    std::vector<double> global_dev(q, 0.0);
-    std::vector<std::uint32_t> global_count(q, 0);
+    std::vector<std::uint32_t> next(model.member_offsets_.begin(),
+                                    model.member_offsets_.end() - 1);
+    for (std::size_t u = 0; u < p; ++u) {
+      const std::uint32_t c = assignments[u];
+      position[u] = next[c] - model.member_offsets_[c];
+      model.members_[next[c]++] = static_cast<matrix::UserId>(u);
+    }
+  }
+  CFSF_REQUIRE(matrix.num_ratings() < UINT32_MAX,
+               "cluster columns index ratings with 32-bit offsets");
+  model.column_offsets_.assign(num_clusters * q + 1, 0);
+  for (std::size_t u = 0; u < p; ++u) {
+    const std::size_t base = assignments[u] * q;
+    for (const auto& e : matrix.UserRow(static_cast<matrix::UserId>(u))) {
+      ++model.column_offsets_[base + e.index + 1];
+    }
+  }
+  for (std::size_t k = 0; k < num_clusters * q; ++k) {
+    model.column_offsets_[k + 1] += model.column_offsets_[k];
+  }
+  model.columns_.resize(matrix.num_ratings());
 
+  // --- Eq. 8: per-cluster per-item mean-centred deviations -------------
+  // Filled in the same pass as the columns: each (c, i) sum, like the
+  // global fallback's sum for i, adds its raters in ascending user order.
+  model.deviations_ = matrix::DenseMatrix(num_clusters, q);
+  std::vector<double> global_dev(q, 0.0);
+  {
+    std::vector<std::uint32_t> next(model.column_offsets_.begin(),
+                                    model.column_offsets_.end() - 1);
     for (std::size_t u = 0; u < p; ++u) {
       const std::uint32_t c = assignments[u];
       const double mean_u = model.user_means_[u];
       for (const auto& e : matrix.UserRow(static_cast<matrix::UserId>(u))) {
         const double dev = e.value - mean_u;
-        dev_sum[c * q + e.index] += dev;
-        ++dev_count[c * q + e.index];
+        model.columns_[next[c * q + e.index]++] = ClusterRating{position[u], e.value};
+        model.deviations_(c, e.index) += dev;
         global_dev[e.index] += dev;
-        ++global_count[e.index];
       }
     }
+  }
+  for (std::size_t i = 0; i < q; ++i) {
+    const std::size_t raters = matrix.ItemCol(static_cast<matrix::ItemId>(i)).size();
+    if (raters > 0) global_dev[i] /= static_cast<double>(raters);
+  }
+  for (std::size_t c = 0; c < num_clusters; ++c) {
     for (std::size_t i = 0; i < q; ++i) {
-      global_dev[i] = global_count[i] > 0
-                          ? global_dev[i] / static_cast<double>(global_count[i])
-                          : 0.0;
-    }
-    for (std::size_t c = 0; c < num_clusters; ++c) {
-      for (std::size_t i = 0; i < q; ++i) {
-        const std::size_t k = c * q + i;
-        if (dev_count[k] > 0) {
-          // Shrunk Eq. 8 (see header); exact Eq. 8 when shrinkage is 0.
-          model.deviations_(c, i) =
-              (dev_sum[k] + deviation_shrinkage * global_dev[i]) /
-              (static_cast<double>(dev_count[k]) + deviation_shrinkage);
-          model.has_rating_[k] = 1;
-        } else {
-          model.deviations_(c, i) = global_dev[i];
-        }
-      }
+      const std::size_t count = model.ClusterColumn(static_cast<std::uint32_t>(c),
+                                                    static_cast<matrix::ItemId>(i)).size();
+      // Shrunk Eq. 8 (see header); exact Eq. 8 when shrinkage is 0.
+      model.deviations_(c, i) =
+          count == 0 ? global_dev[i]
+                     : (model.deviations_(c, i) + deviation_shrinkage * global_dev[i]) /
+                           (static_cast<double>(count) + deviation_shrinkage);
     }
   }
 
@@ -174,11 +201,19 @@ double ClusterModel::ClusterDeviation(std::uint32_t cluster,
   return deviations_(cluster, item);
 }
 
-bool ClusterModel::ClusterHasRating(std::uint32_t cluster,
-                                    matrix::ItemId item) const {
+std::span<const matrix::UserId> ClusterModel::Members(std::uint32_t cluster) const {
+  CFSF_ASSERT(cluster < num_clusters_, "cluster id out of range");
+  return {members_.data() + member_offsets_[cluster],
+          members_.data() + member_offsets_[cluster + 1]};
+}
+
+std::span<const ClusterRating> ClusterModel::ClusterColumn(
+    std::uint32_t cluster, matrix::ItemId item) const {
   CFSF_ASSERT(cluster < num_clusters_ && item < num_items(),
-              "ClusterHasRating index out of range");
-  return has_rating_[cluster * num_items() + item] != 0;
+              "ClusterColumn index out of range");
+  const std::size_t k = cluster * num_items() + item;
+  return {columns_.data() + column_offsets_[k],
+          columns_.data() + column_offsets_[k + 1]};
 }
 
 std::span<const double> ClusterModel::SmoothedProfile(matrix::UserId user) const {
@@ -221,13 +256,20 @@ void ClusterModel::DebugValidate(const matrix::RatingMatrix& matrix) const {
   const std::size_t q = num_items();
   CFSF_VALIDATE(p == matrix.num_users() && q == matrix.num_items(),
                 "ClusterModel shape must match the source matrix");
-  CFSF_VALIDATE(assignments_.size() == p, "assignment table size");
+  CFSF_VALIDATE(deviations_.rows() == num_clusters_, "Eq. 8 table shape");
+  CFSF_VALIDATE(smoothed_.rows() == p && smoothed_.cols() == q,
+                "smoothed matrix shape");
   CFSF_VALIDATE(cluster_sizes_.size() == num_clusters_, "cluster size table");
   CFSF_VALIDATE(icluster_.size() == p, "iCluster table size");
   CFSF_VALIDATE(user_means_.size() == p, "user mean table size");
   CFSF_VALIDATE(original_mask_.size() == p * q, "provenance mask size");
-  CFSF_VALIDATE(has_rating_.size() == num_clusters_ * q,
-                "cluster has-rating mask size");
+  CFSF_VALIDATE(member_offsets_.size() == num_clusters_ + 1 &&
+                    members_.size() == p,
+                "member list size");
+  CFSF_VALIDATE(column_offsets_.size() == num_clusters_ * q + 1 &&
+                    column_offsets_.back() == columns_.size() &&
+                    columns_.size() == matrix.num_ratings(),
+                "cluster column index size");
 
   // Cluster assignment totals (every user in exactly one cluster).
   std::vector<std::size_t> counted(num_clusters_, 0);
@@ -242,6 +284,48 @@ void ClusterModel::DebugValidate(const matrix::RatingMatrix& matrix) const {
     total += cluster_sizes_[c];
   }
   CFSF_VALIDATE(total == p, "cluster sizes must sum to the user count");
+
+  // Members: each cluster lists exactly its users, ascending.
+  std::vector<std::uint32_t> position(p, 0);
+  CFSF_VALIDATE(member_offsets_[0] == 0, "member offsets must start at 0");
+  for (std::size_t c = 0; c < num_clusters_; ++c) {
+    CFSF_VALIDATE(member_offsets_[c] <= member_offsets_[c + 1] &&
+                      member_offsets_[c + 1] <= p,
+                  "member offsets must be non-decreasing and in range");
+    const auto members = Members(static_cast<std::uint32_t>(c));
+    CFSF_VALIDATE(members.size() == cluster_sizes_[c],
+                  "member list must match the cluster size");
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      CFSF_VALIDATE(members[j] < p && assignments_[members[j]] == c,
+                    "member list names a user of another cluster");
+      CFSF_VALIDATE(j == 0 || members[j - 1] < members[j],
+                    "member list must be strictly ascending");
+      position[members[j]] = static_cast<std::uint32_t>(j);
+    }
+  }
+
+  // Columns: walking the rows in user order must meet every (c, i) column
+  // entry in turn, each the rater's member position and rating verbatim.
+  CFSF_VALIDATE(column_offsets_[0] == 0, "column offsets must start at 0");
+  for (std::size_t k = 0; k < num_clusters_ * q; ++k) {
+    CFSF_VALIDATE(column_offsets_[k] <= column_offsets_[k + 1],
+                  "column offsets must be non-decreasing");
+  }
+  std::vector<std::uint32_t> next(column_offsets_.begin(), column_offsets_.end() - 1);
+  for (std::size_t u = 0; u < p; ++u) {
+    const std::size_t base = assignments_[u] * q;
+    for (const auto& e : matrix.UserRow(static_cast<matrix::UserId>(u))) {
+      const std::size_t k = base + e.index;
+      CFSF_VALIDATE(next[k] < column_offsets_[k + 1] &&
+                        columns_[next[k]] == (ClusterRating{position[u], e.value}),
+                    "cluster column must list its members' ratings in order");
+      ++next[k];
+    }
+  }
+  for (std::size_t k = 0; k < num_clusters_ * q; ++k) {
+    CFSF_VALIDATE(next[k] == column_offsets_[k + 1],
+                  "cluster column holds a rating the matrix does not");
+  }
 
   for (std::size_t c = 0; c < num_clusters_; ++c) {
     for (std::size_t i = 0; i < q; ++i) {

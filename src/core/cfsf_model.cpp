@@ -136,10 +136,6 @@ void CfsfModel::BuildClusters(std::span<const std::uint32_t> assignments,
                                            config_.parallel,
                                            config_.deviation_shrinkage,
                                            profiler);
-  cluster_members_.assign(num_clusters, {});
-  for (std::size_t u = 0; u < train_.num_users(); ++u) {
-    cluster_members_[assignments[u]].push_back(static_cast<matrix::UserId>(u));
-  }
 
   latest_timestamp_ = 0;
   if (train_.has_timestamps()) {
@@ -155,26 +151,76 @@ void CfsfModel::BuildClusters(std::span<const std::uint32_t> assignments,
 }
 
 std::vector<SelectedUser> CfsfModel::ComputeTopKUsers(matrix::UserId user) const {
-  // Section IV-E2: walk the iCluster order, pooling candidate users until
+  // Section IV-E2: walk the iCluster order, pooling whole clusters until
   // the pool can support the top-K selection, then rank by Eq. 10.
+  //
+  // Eq. 10 runs one pooled cluster at a time, off the Eq. 8 table and the
+  // cluster's rating columns rather than the dense smoothed rows.  For
+  // each active item in ascending order, every member's term is first set
+  // from its smoothed cell, dc = (r̄_v + Δ_{c,i}) − r̄_v at weight w (the
+  // expression Build stores; in floating point it is not Δ), then the
+  // members in the item's column are overwritten with dc = r − r̄_v at
+  // weight 1 − w.  Each candidate so adds exactly the terms
+  // sim::SmoothingAwarePcc adds, in the same order, and every similarity
+  // is bit-identical to it.
   const auto active_row = train_.UserRow(user);
   const double active_mean = train_.UserMean(user);
   const std::size_t want_pool =
       std::max<std::size_t>(config_.top_k_users,
                             config_.top_k_users * config_.candidate_pool_factor);
+  const double w_smoothed = sim::ProvenanceWeight(false, config_.epsilon);
+  const double w_original = sim::ProvenanceWeight(true, config_.epsilon);
 
+  std::vector<double> da(active_row.size());
+  double sq_active = 0.0;
+  for (std::size_t k = 0; k < active_row.size(); ++k) {
+    da[k] = active_row[k].value - active_mean;
+    sq_active += da[k] * da[k];
+  }
+
+  // Per member of the cluster at hand: r̄_v, the current item's w·dc and
+  // w²·dc², and the two Eq. 10 sums.
+  std::vector<double> mean;
+  std::vector<double> term;
+  std::vector<double> square;
+  std::vector<double> num;
+  std::vector<double> sq;
   std::vector<SelectedUser> scored;
   scored.reserve(want_pool + 64);
   std::size_t pooled = 0;
   for (const auto& affinity : clusters_.IClusterOf(user)) {
-    for (const auto candidate : cluster_members_[affinity.cluster]) {
-      if (candidate == user) continue;
+    const auto members = clusters_.Members(affinity.cluster);
+    const std::size_t n = members.size();
+    mean.resize(n);
+    term.resize(n);
+    square.resize(n);
+    num.assign(n, 0.0);
+    sq.assign(n, 0.0);
+    for (std::size_t j = 0; j < n; ++j) mean[j] = clusters_.UserMean(members[j]);
+    for (std::size_t k = 0; k < active_row.size(); ++k) {
+      const matrix::ItemId item = active_row[k].index;
+      const double dev = clusters_.ClusterDeviation(affinity.cluster, item);
+      for (std::size_t j = 0; j < n; ++j) {
+        const double dc = (mean[j] + dev) - mean[j];
+        term[j] = w_smoothed * dc;
+        square[j] = w_smoothed * w_smoothed * dc * dc;
+      }
+      for (const auto& r : clusters_.ClusterColumn(affinity.cluster, item)) {
+        const double dc = r.value - mean[r.member];
+        term[r.member] = w_original * dc;
+        square[r.member] = w_original * w_original * dc * dc;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        num[j] += term[j] * da[k];
+        sq[j] += square[j];
+      }
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      if (members[j] == user) continue;
       ++pooled;
-      const double similarity = sim::SmoothingAwarePcc(
-          active_row, active_mean, clusters_.SmoothedProfile(candidate),
-          clusters_.OriginalMask(candidate), clusters_.UserMean(candidate),
-          config_.epsilon);
-      if (similarity > 0.0) scored.push_back(SelectedUser{candidate, similarity});
+      const double denom = std::sqrt(sq[j]) * std::sqrt(sq_active);
+      const double similarity = denom > 0.0 ? num[j] / denom : 0.0;
+      if (similarity > 0.0) scored.push_back(SelectedUser{members[j], similarity});
     }
     if (pooled >= want_pool) break;
   }
@@ -572,7 +618,6 @@ void CfsfModel::InsertRating(matrix::UserId user, matrix::ItemId item,
   train_ = std::move(next->train_);
   gis_ = std::move(next->gis_);
   clusters_ = std::move(next->clusters_);
-  cluster_members_ = std::move(next->cluster_members_);
   latest_timestamp_ = next->latest_timestamp_;
   ClearCache();
 }

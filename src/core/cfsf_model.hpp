@@ -163,8 +163,8 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
   struct Components;
 
   /// Smoothing and iCluster lists (Eq. 7–9) of train_ under
-  /// `assignments`, plus the member lists, the latest timestamp and an
-  /// empty neighbour cache — the set-up Fit, Restore and AddUser share.
+  /// `assignments`, plus the latest timestamp and an empty neighbour
+  /// cache — the set-up Fit, Restore and AddUser share.
   void BuildClusters(std::span<const std::uint32_t> assignments,
                      std::size_t num_clusters,
                      obs::PhaseProfiler* profiler = nullptr);
@@ -203,7 +203,6 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
   matrix::RatingMatrix train_;
   sim::GlobalItemSimilarity gis_;
   cluster::ClusterModel clusters_;
-  std::vector<std::vector<matrix::UserId>> cluster_members_;
   matrix::Timestamp latest_timestamp_ = 0;
 
   // Per-user neighbour cache ("caching intermediate results", Fig. 5).

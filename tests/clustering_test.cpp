@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "clustering/kmeans.hpp"
@@ -359,6 +360,62 @@ TEST(ClusterModel, IClusterEqualsAffinityOfForEveryUser) {
           << "user " << u << ", shrinkage " << shrinkage;
     }
   }
+}
+
+// Members(c) must be c's users ascending, and every (c, i) column the
+// ratings of i by those members, as (member position, value) in ascending
+// position; DebugValidate must accept the index.
+void ExpectColumnsMatchMatrix(const matrix::RatingMatrix& m,
+                              std::span<const std::uint32_t> assignments,
+                              std::size_t num_clusters) {
+  const auto model = ClusterModel::Build(m, assignments, num_clusters);
+  EXPECT_NO_THROW(model.DebugValidate(m));
+  for (std::uint32_t c = 0; c < num_clusters; ++c) {
+    std::vector<matrix::UserId> want_members;
+    for (matrix::UserId u = 0; u < m.num_users(); ++u) {
+      if (assignments[u] == c) want_members.push_back(u);
+    }
+    const auto members = model.Members(c);
+    ASSERT_EQ(std::vector<matrix::UserId>(members.begin(), members.end()), want_members)
+        << "cluster " << c;
+    for (matrix::ItemId i = 0; i < m.num_items(); ++i) {
+      std::vector<ClusterRating> want;
+      for (std::uint32_t j = 0; j < want_members.size(); ++j) {
+        if (const auto r = m.GetRating(want_members[j], i)) {
+          want.push_back(ClusterRating{j, *r});
+        }
+      }
+      const auto column = model.ClusterColumn(c, i);
+      ASSERT_EQ(std::vector<ClusterRating>(column.begin(), column.end()), want)
+          << "cluster " << c << ", item " << i;
+      EXPECT_EQ(model.ClusterHasRating(c, i), !want.empty());
+    }
+  }
+}
+
+TEST(ClusterModel, ClusterColumnsMatchMatrix) {
+  // Cluster 2 is empty (the assignments skip its id), item 5 is unrated
+  // and user 3 has no ratings.
+  matrix::RatingMatrixBuilder b(7, 6);
+  b.Add(0, 0, 5); b.Add(0, 2, 3);
+  b.Add(1, 0, 1); b.Add(1, 1, 4); b.Add(1, 4, 2);
+  b.Add(2, 1, 2); b.Add(2, 3, 5);
+  b.Add(4, 0, 4); b.Add(4, 3, 1); b.Add(4, 4, 3);
+  b.Add(5, 2, 2); b.Add(5, 4, 5);
+  b.Add(6, 0, 3); b.Add(6, 1, 1);
+  const auto m = b.Build();
+  const std::vector<std::uint32_t> assignments{1, 0, 3, 1, 0, 3, 1};
+  ExpectColumnsMatchMatrix(m, assignments, 4);
+
+  data::SyntheticConfig config;
+  config.num_users = 80;
+  config.num_items = 60;
+  config.min_ratings_per_user = 10;
+  config.log_mean = 3.0;
+  const auto synthetic = data::GenerateSynthetic(config);
+  KMeansConfig kconfig;
+  kconfig.num_clusters = 7;
+  ExpectColumnsMatchMatrix(synthetic, RunKMeans(synthetic, kconfig).assignments, 7);
 }
 
 TEST(ClusterModel, ValidatesInputs) {

@@ -41,6 +41,38 @@ CfsfConfig SmallConfig() {
   return config;
 }
 
+// A seeded fold batch of `size` ratings with nonzero timestamps: fresh
+// cells, every fourth record an overwrite of an existing rating, and, for
+// size > 1, the first cell rated again as the last record.
+std::vector<matrix::RatingTriple> SeededFoldBatch(const matrix::RatingMatrix& train,
+                                                  std::size_t size,
+                                                  std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto existing = train.ToTriples();
+  std::vector<matrix::RatingTriple> batch;
+  for (std::size_t k = 0; k < size; ++k) {
+    matrix::RatingTriple t;
+    if (k % 4 == 1) {
+      t = existing[rng.NextBounded(existing.size())];
+      t.value = t.value == 5.0F ? 1.0F : t.value + 1.0F;
+    } else {
+      do {
+        t.user = static_cast<matrix::UserId>(rng.NextBounded(train.num_users()));
+        t.item = static_cast<matrix::ItemId>(rng.NextBounded(train.num_items()));
+      } while (train.HasRating(t.user, t.item));
+      t.value = static_cast<matrix::Rating>(1 + rng.NextBounded(5));
+    }
+    t.timestamp = static_cast<matrix::Timestamp>(1600000000 + k);
+    batch.push_back(t);
+  }
+  if (size > 1) {
+    batch.back() = batch.front();
+    batch.back().value = batch.front().value == 3.0F ? 4.0F : 3.0F;
+    batch.back().timestamp = static_cast<matrix::Timestamp>(1600000000 + size);
+  }
+  return batch;
+}
+
 // -------------------------------------------------------------- config ----
 
 TEST(Config, PaperDefaults) {
@@ -213,8 +245,81 @@ TEST(Selection, SimilaritiesMatchEq10) {
         split.train.UserRow(user), split.train.UserMean(user),
         cm.SmoothedProfile(s.user), cm.OriginalMask(s.user),
         cm.UserMean(s.user), model.config().epsilon);
-    EXPECT_NEAR(s.similarity, expected, 1e-12);
+    EXPECT_EQ(s.similarity, expected);
   }
+}
+
+// The top-K selection computed from the dense smoothed rows, as the
+// reference: pool whole clusters in iCluster order until the pool holds
+// K × candidate_pool_factor users, score each candidate with
+// sim::SmoothingAwarePcc on its smoothed row and provenance mask, then
+// rank with the same partial sort.
+std::vector<SelectedUser> ReferenceTopKUsers(const CfsfModel& model,
+                                             matrix::UserId user) {
+  const auto& config = model.config();
+  const auto& train = model.train();
+  const auto& cm = model.cluster_model();
+  const std::size_t want_pool = config.top_k_users * config.candidate_pool_factor;
+  std::vector<SelectedUser> scored;
+  std::size_t pooled = 0;
+  for (const auto& affinity : cm.IClusterOf(user)) {
+    for (matrix::UserId v = 0; v < train.num_users(); ++v) {
+      if (cm.ClusterOf(v) != affinity.cluster || v == user) continue;
+      ++pooled;
+      const double s = sim::SmoothingAwarePcc(
+          train.UserRow(user), train.UserMean(user), cm.SmoothedProfile(v),
+          cm.OriginalMask(v), cm.UserMean(v), config.epsilon);
+      if (s > 0.0) scored.push_back(SelectedUser{v, s});
+    }
+    if (pooled >= want_pool) break;
+  }
+  const std::size_t k = std::min(config.top_k_users, scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
+                    [](const SelectedUser& a, const SelectedUser& b) {
+                      if (a.similarity != b.similarity) return a.similarity > b.similarity;
+                      return a.user < b.user;
+                    });
+  scored.resize(k);
+  return scored;
+}
+
+void ExpectReferenceSelection(const CfsfModel& model) {
+  for (matrix::UserId u = 0; u < model.NumUsers(); ++u) {
+    const auto got = model.SelectTopKUsers(u);
+    const auto want = ReferenceTopKUsers(model, u);
+    ASSERT_EQ(got.size(), want.size()) << "user " << u;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(got[k].user, want[k].user) << "user " << u << ", rank " << k;
+      ASSERT_EQ(got[k].similarity, want[k].similarity) << "user " << u << ", rank " << k;
+    }
+  }
+}
+
+TEST(Selection, MatchesReferenceForEveryUser) {
+  // The cluster-sliced Eq. 10 kernel must reproduce the dense-row kernel
+  // bit for bit: ids and similarities, for every user, before and after a
+  // fold.
+  const auto split = SmallSplit();
+  for (const double epsilon : {0.0, 0.35, 1.0}) {
+    for (const std::size_t pool_factor : {1U, 3U, 8U}) {
+      SCOPED_TRACE(::testing::Message() << "epsilon " << epsilon << ", pool factor "
+                                        << pool_factor);
+      CfsfConfig config = SmallConfig();
+      config.epsilon = epsilon;
+      config.candidate_pool_factor = pool_factor;
+      CfsfModel model(config);
+      model.Fit(split.train);
+      ExpectReferenceSelection(model);
+      const auto folded = model.WithRatings(SeededFoldBatch(model.train(), 125, 77));
+      ExpectReferenceSelection(*folded);
+    }
+  }
+  SCOPED_TRACE("paper scale, default config");
+  CfsfModel model;
+  model.Fit(data::GenerateSynthetic({}));
+  ExpectReferenceSelection(model);
+  const auto folded = model.WithRatings(SeededFoldBatch(model.train(), 125, 78));
+  ExpectReferenceSelection(*folded);
 }
 
 TEST(Selection, DistinctUsers) {
@@ -673,38 +778,6 @@ TEST(Incremental, BatchFoldEqualsOneRecordAtATime) {
   }
 }
 
-// A seeded fold batch of `size` ratings with nonzero timestamps: fresh
-// cells, every fourth record an overwrite of an existing rating, and, for
-// size > 1, the first cell rated again as the last record.
-std::vector<matrix::RatingTriple> SeededFoldBatch(const matrix::RatingMatrix& train,
-                                                  std::size_t size,
-                                                  std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto existing = train.ToTriples();
-  std::vector<matrix::RatingTriple> batch;
-  for (std::size_t k = 0; k < size; ++k) {
-    matrix::RatingTriple t;
-    if (k % 4 == 1) {
-      t = existing[rng.NextBounded(existing.size())];
-      t.value = t.value == 5.0F ? 1.0F : t.value + 1.0F;
-    } else {
-      do {
-        t.user = static_cast<matrix::UserId>(rng.NextBounded(train.num_users()));
-        t.item = static_cast<matrix::ItemId>(rng.NextBounded(train.num_items()));
-      } while (train.HasRating(t.user, t.item));
-      t.value = static_cast<matrix::Rating>(1 + rng.NextBounded(5));
-    }
-    t.timestamp = static_cast<matrix::Timestamp>(1600000000 + k);
-    batch.push_back(t);
-  }
-  if (size > 1) {
-    batch.back() = batch.front();
-    batch.back().value = batch.front().value == 3.0F ? 4.0F : 3.0F;
-    batch.back().timestamp = static_cast<matrix::Timestamp>(1600000000 + size);
-  }
-  return batch;
-}
-
 void ExpectSameModel(const CfsfModel& got, const CfsfModel& want) {
   ASSERT_EQ(got.train().ToTriples(), want.train().ToTriples());
   for (matrix::ItemId i = 0; i < want.NumItems(); ++i) {
@@ -727,6 +800,19 @@ void ExpectSameModel(const CfsfModel& got, const CfsfModel& want) {
     const auto wi = wc.IClusterOf(u);
     ASSERT_TRUE(std::equal(gi.begin(), gi.end(), wi.begin(), wi.end()))
         << "iCluster list " << u;
+  }
+  ASSERT_EQ(gc.num_clusters(), wc.num_clusters());
+  for (std::uint32_t c = 0; c < wc.num_clusters(); ++c) {
+    const auto gm = gc.Members(c);
+    const auto wm = wc.Members(c);
+    ASSERT_TRUE(std::equal(gm.begin(), gm.end(), wm.begin(), wm.end()))
+        << "members of cluster " << c;
+    for (matrix::ItemId i = 0; i < want.NumItems(); ++i) {
+      const auto gcol = gc.ClusterColumn(c, i);
+      const auto wcol = wc.ClusterColumn(c, i);
+      ASSERT_TRUE(std::equal(gcol.begin(), gcol.end(), wcol.begin(), wcol.end()))
+          << "column of cluster " << c << ", item " << i;
+    }
   }
   for (matrix::UserId u = 0; u < want.NumUsers(); ++u) {
     for (matrix::ItemId i = 0; i < want.NumItems(); ++i) {

@@ -41,8 +41,10 @@
 #      present.  Both skip with a notice when the tool is absent.
 #   8. bench smoke                                 : one CI-sized sweep must
 #      emit a BENCH_smoke.json that parses and carries latency percentiles,
-#      plus a corrupted-bundle check: verify-model must reject a bit flip
-#      with a nonzero (but clean) exit
+#      the committed perfbench trajectory (BENCH_perfbench_uniform.json,
+#      BENCH_perfbench_zipf.json) must parse — validity only, no timing
+#      gate — plus a corrupted-bundle check: verify-model must reject a
+#      bit flip with a nonzero (but clean) exit
 #   9. perfbench self-test                         : bench/perfbench/run.py
 #      --self-test in its own build dir (build/perfbench).  It builds
 #      perfbench_loadgen, which no other tier compiles and which calls
@@ -298,6 +300,14 @@ if [[ "${RUN_BENCH}" -eq 1 ]]; then
   grep -q '"p95"' "${SMOKE_JSON}" || {
     echo "ci_check: BENCH_smoke.json lacks latency percentiles" >&2; exit 1;
   }
+
+  echo "=== committed perfbench trajectory (BENCH_perfbench_*.json) ==="
+  # Validity only: each entry is an A/B measured on one host, whose speed
+  # drifts ~30 % within an hour, so no timing is compared here.
+  for TRAJECTORY in "${ROOT}/BENCH_perfbench_uniform.json" \
+                    "${ROOT}/BENCH_perfbench_zipf.json"; do
+    "${ROOT}/build/release/tools/cfsf_cli" json-check --file="${TRAJECTORY}"
+  done
 
   echo "=== corrupted-bundle check (verify-model) ==="
   CLI="${ROOT}/build/release/tools/cfsf_cli"
