@@ -85,7 +85,6 @@ int main(int argc, char** argv) try {
           {"cfsf.predict", 0.5},
           {"serve.worker", 0.05},
           {"serve.admit", 0.02},
-          {"threadpool.task", 0.02},
       };
       core::LoadRetryOptions retry;
       retry.initial_backoff = std::chrono::milliseconds(1);

@@ -10,8 +10,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "net/http.hpp"
 #include "net/wire.hpp"
@@ -141,7 +143,14 @@ void HttpServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   // Every queued/in-flight connection worker observes stopping_ and
   // winds down; Wait() is the drain barrier.
-  pool_.Wait();
+  try {
+    pool_.Wait();
+  } catch (const obs::InjectedFault&) {
+    // A fault injected at the pool's dispatch site (threadpool.task),
+    // rethrown once nothing is left in flight.  The connection it hit
+    // is closed and counted in net.conn.dropped by its Connection
+    // guard.  HandleConnection lets no other exception reach the pool.
+  }
   {
     util::MutexLock lock(&mutex_);
     if (listen_fd_ >= 0) ::close(listen_fd_);
@@ -163,6 +172,47 @@ bool HttpServer::running() const {
 std::size_t HttpServer::ActiveConnections() const {
   util::MutexLock lock(&mutex_);
   return active_;
+}
+
+/// An accepted connection's fd and its active_ slot, owned by the pool
+/// closure that will serve it.  A closure destroyed unexecuted (a fault
+/// injected at the pool's threadpool.task dispatch site) never calls
+/// Serve(): the destructor then closes the fd, so the client sees a
+/// close instead of a hang, and gives the slot back.
+class HttpServer::Connection {
+ public:
+  Connection(HttpServer& server, int fd) : server_(server), fd_(fd) {}
+  ~Connection() {
+    if (fd_ < 0) return;
+    NetMetrics::Instance().dropped.Increment();
+    server_.CloseConnection(fd_);
+  }
+
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  /// Hands the fd to HandleConnection, which closes it itself.
+  void Serve() { server_.HandleConnection(std::exchange(fd_, -1)); }
+
+ private:
+  HttpServer& server_;
+  int fd_;
+};
+
+void HttpServer::CloseConnection(int fd) {
+  ::close(fd);
+  NetMetrics::Instance().active.Add(-1.0);
+  util::MutexLock lock(&mutex_);
+  --active_;
+}
+
+bool HttpServer::IdleShouldYield() {
+  // Closing an idle connection when nobody wants its worker or its slot
+  // frees nothing, costs the client a reconnect and races any request
+  // already on the wire.
+  if (pool_.QueueDepth() > 0) return true;
+  util::MutexLock lock(&mutex_);
+  return std::exchange(turned_away_, false);
 }
 
 void HttpServer::AcceptLoop() {
@@ -200,6 +250,7 @@ void HttpServer::AcceptLoop() {
       util::MutexLock lock(&mutex_);
       if (active_ >= options_.max_connections) {
         busy = true;
+        turned_away_ = true;
       } else {
         ++active_;
       }
@@ -220,7 +271,8 @@ void HttpServer::AcceptLoop() {
 
     metrics.accepted.Increment();
     metrics.active.Add(1.0);
-    pool_.Submit([this, fd] { HandleConnection(fd); });
+    auto connection = std::make_shared<Connection>(*this, fd);
+    pool_.Submit([connection] { connection->Serve(); });
   }
 }
 
@@ -269,7 +321,8 @@ void HttpServer::HandleConnection(int fd) {
       }
       if (ready == 0) {
         if (std::chrono::steady_clock::now() - last_activity >
-            options_.idle_timeout) {
+                options_.idle_timeout &&
+            IdleShouldYield()) {
           metrics.idle_closed.Increment();
           break;
         }
@@ -338,12 +391,7 @@ void HttpServer::HandleConnection(int fd) {
     // Wait() during drain and take the server down with it.
   }
 
-  ::close(fd);
-  metrics.active.Add(-1.0);
-  {
-    util::MutexLock lock(&mutex_);
-    --active_;
-  }
+  CloseConnection(fd);
 }
 
 bool HttpServer::WriteAll(int fd, const std::string& data) {

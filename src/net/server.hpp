@@ -20,11 +20,24 @@
 // Slow-read (slowloris) defense: a request may not stay partially
 // received longer than `read_timeout`, measured from its first byte —
 // dripping one byte per poll interval no longer holds a worker
-// hostage.  Both slow-read closes and plain keep-alive idle-timeout
-// closes are counted in net.idle_closed.
+// hostage.  A keep-alive connection idle longer than `idle_timeout` is
+// closed only when another connection wants what it holds: its worker
+// (a connection waits in the pool queue) or its slot (the accept loop
+// has turned a connection away at `max_connections` since an idle
+// connection last yielded; one such rejection frees one slot for the
+// client's retry).  Otherwise it stays open, so a client's idle
+// connection is never closed under it for nothing.  Both kinds of
+// close are counted in net.idle_closed.
+//
+// Each request is served on the connection worker that read it: the
+// worker calls ServingService::Handle, which runs the serving stack on
+// the same thread.
 //
 // Failpoints: net.accept (accepted connection dropped before dispatch)
-// and net.write (connection closed before the response is written).
+// and net.write (connection closed before the response is written).  A
+// fault at the pool's own dispatch site (threadpool.task) closes the
+// connection it hit and releases its slot (counted in
+// net.conn.dropped); Stop() absorbs it.
 // Metrics: net.conn.accepted / net.conn.rejected_busy / net.conn.dropped
 // counters, net.conn.active gauge, net.http.requests / net.http.responses
 // / net.http.malformed / net.http.write_errors / net.idle_closed
@@ -54,7 +67,9 @@ struct ServerOptions {
   /// Accepted-connection bound; beyond it new connections are answered
   /// 503 + Retry-After inline and closed.
   std::size_t max_connections = 32;
-  /// Keep-alive connections idle longer than this are closed.
+  /// A keep-alive connection idle longer than this is closed once
+  /// another connection waits for a worker or has been turned away at
+  /// max_connections; until then it keeps its worker and slot.
   std::chrono::milliseconds idle_timeout{5000};
   /// Ceiling on how long one request may stay partially received,
   /// measured from its first byte (±poll_interval).  Slow-read
@@ -91,8 +106,16 @@ class HttpServer {
   std::size_t ActiveConnections() const;
 
  private:
+  class Connection;
+
   void AcceptLoop();
   void HandleConnection(int fd);
+  /// Whether a connection idle past idle_timeout should close: a
+  /// connection waits in the pool queue, or turned_away_ is set (and is
+  /// then cleared, so one rejection frees one slot).
+  bool IdleShouldYield() CFSF_EXCLUDES(mutex_);
+  /// Closes an accepted connection's fd and releases its active_ slot.
+  void CloseConnection(int fd) CFSF_EXCLUDES(mutex_);
   /// Blocking full write with MSG_NOSIGNAL; false on a broken pipe.
   bool WriteAll(int fd, const std::string& data);
 
@@ -105,6 +128,9 @@ class HttpServer {
   bool running_ CFSF_GUARDED_BY(mutex_) = false;
   bool stopping_ CFSF_GUARDED_BY(mutex_) = false;
   std::size_t active_ CFSF_GUARDED_BY(mutex_) = 0;
+  /// Set when the accept loop answers a connection 503 at
+  /// max_connections; cleared by the idle connection that yields to it.
+  bool turned_away_ CFSF_GUARDED_BY(mutex_) = false;
 
   std::thread accept_thread_;
   par::ThreadPool pool_;

@@ -168,13 +168,14 @@ inline constexpr FailPointInfo kFailPoints[] = {
      "retried by `LoadModelWithRetry`"},
     {"model_io.load.read", "`LoadModel` whole-file read",
      "retried by `LoadModelWithRetry`"},
-    {"threadpool.task", "worker task dispatch", "rethrown at `Wait()`"},
+    {"threadpool.task", "worker task dispatch",
+     "rethrown at `Wait()`; an HTTP connection it hits is closed"},
     {"cfsf.fit", "`CfsfModel::Fit` entry", "model stays unfitted"},
     {"cfsf.predict", "full fusion path", "ladder falls back"},
     {"cfsf.predict.sir", "SIR′-only path", "ladder falls back"},
     {"serve.admit", "`ServingStack` admission", "request shed (`kShed`)"},
-    {"serve.worker", "serving worker, pre-predict",
-     "`kError` result; stack survives"},
+    {"serve.worker", "`ServingStack` request body, on the caller's thread",
+     "`kInternal` result; stack survives"},
     {"serve.swap.load", "`ModelGeneration::LoadAndSwap`",
      "old generation keeps serving"},
     {"net.accept", "`HttpServer` accept loop",

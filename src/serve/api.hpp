@@ -36,7 +36,7 @@ namespace cfsf::serve {
 /// docs/SERVING_API.md); ToHttpStatus() is the one mapping to the wire.
 enum class StatusCode {
   kOk = 0,           // answered (possibly from a degraded rung)
-  kShed,             // admission queue full or stack draining
+  kShed,             // in-flight limit reached or stack draining
   kRejected,         // refused by the kReject watermark policy
   kDeadlineExceeded, // budget spent before any answer could be produced
   kBreakerOpen,      // the stack is degraded below the tier this
@@ -45,7 +45,7 @@ enum class StatusCode {
                      // fail-stopped; the stack serves read-only
   kNotFound,         // unknown user (top-N) or unknown route (wire)
   kMalformed,        // request failed validation / unparseable body
-  kInternal,         // worker fault; no usable answer
+  kInternal,         // fault while serving; no usable answer
 };
 
 const char* ToString(StatusCode code);
@@ -70,11 +70,11 @@ struct Request {
   /// optional timestamp (0 = none).
   matrix::Rating rating = 0.0F;
   matrix::Timestamp rating_timestamp = 0;
-  /// kPredictBatch only; served as one queue unit under one deadline.
+  /// kPredictBatch only; admitted as one unit under one deadline.
   std::vector<std::pair<matrix::UserId, matrix::ItemId>> queries;
   std::size_t top_n = 10;  // kTopN only
-  /// Per-request budget; default-constructed = unlimited.  Time spent
-  /// queued counts against it.
+  /// Per-request budget; default-constructed = unlimited.  It runs from
+  /// when the caller set it, so time spent before admission counts.
   robust::Deadline deadline;
   /// Opaque caller token, echoed verbatim in the Response (and in the
   /// wire layer's X-CFSF-Trace-Id response header).

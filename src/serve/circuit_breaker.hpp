@@ -75,7 +75,7 @@ struct BreakerPlan {
   std::uint64_t epoch = 0;
 };
 
-/// Thread-safe; one instance is shared by every worker in a ServingStack.
+/// Thread-safe; one instance is shared by every caller of a ServingStack.
 class CircuitBreaker {
  public:
   explicit CircuitBreaker(const CircuitBreakerOptions& options = {});
@@ -87,7 +87,7 @@ class CircuitBreaker {
   /// Reports the outcome of a planned request.  `bad` = error, deadline
   /// overrun, or served below the planned rung.  `served_level` is the
   /// tier the request actually ran at — when admission control bumped it
-  /// past the plan (queue watermark), the outcome no longer speaks for
+  /// past the plan (in-flight watermark), the outcome no longer speaks for
   /// the planned tier and probe accounting ignores it.
   void Record(const BreakerPlan& plan, std::size_t served_level, bool bad)
       CFSF_EXCLUDES(mutex_);

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
-#include <utility>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/failpoint.hpp"
-#include "util/backoff.hpp"
 #include "util/error.hpp"
 #include "wal/format.hpp"
 #include "wal/log.hpp"
@@ -86,13 +84,6 @@ double ElapsedUs(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-template <typename T>
-std::future<T> ReadyFuture(T value) {
-  std::promise<T> promise;
-  promise.set_value(std::move(value));
-  return promise.get_future();
-}
-
 /// How many per-item tallies one request is worth (a batch of N is N
 /// requests in the serve.* counters, exactly as before the api.hpp
 /// redesign).
@@ -108,10 +99,7 @@ ServingStack::ServingStack(ModelGeneration& models,
                            const ServingOptions& options)
     : models_(models),
       options_(options),
-      breaker_(options.breaker),
-      pool_(options.num_workers) {
-  CFSF_REQUIRE(options.num_workers > 0,
-               "ServingStack: num_workers must be positive");
+      breaker_(options.breaker) {
   CFSF_REQUIRE(options.queue_capacity > 0,
                "ServingStack: queue_capacity must be positive");
   CFSF_REQUIRE(options.degrade_watermark <= options.queue_capacity,
@@ -131,112 +119,85 @@ ServingStack::Admission ServingStack::Admit() {
   } catch (const obs::InjectedFault&) {
     return Admission{false, StatusCode::kShed, false};
   }
-  std::size_t depth = 0;
   bool degraded = false;
-  {
-    util::MutexLock lock(&mutex_);
-    if (draining_ || depth_ >= options_.queue_capacity) {
-      return Admission{false, StatusCode::kShed, false};
-    }
-    if (options_.degrade_watermark > 0 &&
-        depth_ >= options_.degrade_watermark) {
-      if (options_.watermark_policy == WatermarkPolicy::kReject) {
-        return Admission{false, StatusCode::kRejected, false};
-      }
-      degraded = true;
-    }
-    // Reserved under the lock, so depth_ can never transiently exceed
-    // queue_capacity — the soak asserts MaxDepthSeen() <= capacity.
-    depth = ++depth_;
-    max_depth_ = std::max(max_depth_, depth_);
+  util::MutexLock lock(&mutex_);
+  if (draining_ || depth_ >= options_.queue_capacity) {
+    return Admission{false, StatusCode::kShed, false};
   }
-  ServeMetrics::Get().queue_depth.Set(static_cast<double>(depth));
+  if (options_.degrade_watermark > 0 &&
+      depth_ >= options_.degrade_watermark) {
+    if (options_.watermark_policy == WatermarkPolicy::kReject) {
+      return Admission{false, StatusCode::kRejected, false};
+    }
+    degraded = true;
+  }
+  // Reserved under the lock, so depth_ can never transiently exceed
+  // queue_capacity — the soak asserts MaxDepthSeen() <= capacity.  The
+  // gauge is set under it too, so racing updates cannot leave it stale.
+  ++depth_;
+  max_depth_ = std::max(max_depth_, depth_);
+  ServeMetrics::Get().queue_depth.Set(static_cast<double>(depth_));
   return Admission{true, StatusCode::kShed, degraded};
 }
 
 void ServingStack::ReleaseSlot() {
-  std::size_t depth = 0;
-  {
-    util::MutexLock lock(&mutex_);
-    depth = --depth_;
-  }
-  ServeMetrics::Get().queue_depth.Set(static_cast<double>(depth));
+  util::MutexLock lock(&mutex_);
+  --depth_;
+  ServeMetrics::Get().queue_depth.Set(static_cast<double>(depth_));
+  if (depth_ == 0 && draining_) drained_.NotifyAll();
 }
 
-namespace {
+/// One admitted request's in-flight slot: released when the request
+/// returns or throws, never twice.
+class ServingStack::Slot {
+ public:
+  explicit Slot(ServingStack& stack) : stack_(stack) {}
+  ~Slot() { stack_.ReleaseSlot(); }
 
-/// Shared state of one accepted request.  Fulfil() releases the queue
-/// slot *before* resolving the promise, so a client that sees its future
-/// ready also sees the depth accounting settled.  If the task closure is
-/// destroyed unexecuted — a fault injected at the pool's threadpool.task
-/// dispatch site — the destructor still releases the slot and breaking
-/// the promise unblocks the client, so a dispatch storm can neither leak
-/// a queue slot nor wedge a caller.
-struct Pending {
-  explicit Pending(std::function<void()> release_slot)
-      : release(std::move(release_slot)) {}
-  ~Pending() {
-    if (!released) release();
-  }
+  Slot(const Slot&) = delete;
+  Slot& operator=(const Slot&) = delete;
 
-  Pending(const Pending&) = delete;
-  Pending& operator=(const Pending&) = delete;
-
-  void Fulfil(Response response) {
-    released = true;
-    release();
-    promise.set_value(std::move(response));
-  }
-
-  std::function<void()> release;
-  std::promise<Response> promise;
-  bool released = false;  // only the owning worker (or the last
-                          // destructor) touches this
+ private:
+  ServingStack& stack_;
 };
 
-}  // namespace
-
-std::future<Response> ServingStack::Submit(const Request& request) {
+Response ServingStack::ServeSync(const Request& request) {
   const std::size_t weight = WeightOf(request);
-  ServeMetrics::Get().requests.Increment(weight);
+  const ServeMetrics& metrics = ServeMetrics::Get();
+  metrics.requests.Increment(weight);
 
-  Response refused;
-  refused.trace_id = request.trace_id;
   const std::string invalid = request.ValidationError();
   if (!invalid.empty()) {
+    Response refused;
+    refused.trace_id = request.trace_id;
     refused.code = StatusCode::kMalformed;
     refused.message = invalid;
-    ServeMetrics::Get().refused.Increment(weight);
-    return ReadyFuture(std::move(refused));
+    metrics.refused.Increment(weight);
+    return refused;
   }
 
   const Admission admission = Admit();
   if (!admission.admitted) {
-    (admission.refusal == StatusCode::kRejected
-         ? ServeMetrics::Get().rejected
-         : ServeMetrics::Get().shed)
+    (admission.refusal == StatusCode::kRejected ? metrics.rejected
+                                                : metrics.shed)
         .Increment(weight);
+    Response refused;
+    refused.trace_id = request.trace_id;
     refused.code = admission.refusal;
     refused.message = admission.refusal == StatusCode::kRejected
                           ? "refused above the degrade watermark"
-                          : "queue full or stack draining";
-    return ReadyFuture(std::move(refused));
+                          : "in-flight limit reached or stack draining";
+    return refused;
   }
-  if (admission.degraded) {
-    ServeMetrics::Get().degraded_admissions.Increment(weight);
-  }
+  if (admission.degraded) metrics.degraded_admissions.Increment(weight);
 
-  auto pending = std::make_shared<Pending>([this] { ReleaseSlot(); });
-  auto future = pending->promise.get_future();
-  Request queued = request;
-  if (queued.deadline.unlimited() && options_.default_budget.count() > 0) {
-    queued.deadline = robust::Deadline::After(options_.default_budget);
+  const Slot slot(*this);
+  if (!request.deadline.unlimited() || options_.default_budget.count() <= 0) {
+    return Process(request, admission.degraded);
   }
-  pool_.Submit([this, pending, queued = std::move(queued),
-                degraded = admission.degraded] {
-    pending->Fulfil(Process(queued, degraded));
-  });
-  return future;
+  Request budgeted = request;
+  budgeted.deadline = robust::Deadline::After(options_.default_budget);
+  return Process(budgeted, admission.degraded);
 }
 
 Response ServingStack::Process(const Request& request,
@@ -348,7 +309,7 @@ void ServingStack::ProcessTopN(const Request& request,
   if (request.deadline.Expired()) {
     response.code = StatusCode::kDeadlineExceeded;
     response.message = "budget spent before ranking started";
-    bad = true;  // queue time ate the whole budget: the stack is slow
+    bad = true;  // the budget ran out before ranking: the stack is slow
     return;
   }
   if (request.user >= model.model().NumUsers()) {
@@ -396,50 +357,20 @@ void ServingStack::ProcessRate(const Request& request, Response& response) {
   }
 }
 
-Response ServingStack::Await(std::future<Response>& future) {
-  try {
-    return future.get();
-  } catch (const std::future_error&) {
-    // The closure was destroyed unexecuted — a fault injected at the
-    // pool's threadpool.task dispatch site.  The request is lost, the
-    // client is not.
-    Response dropped;
-    dropped.code = StatusCode::kInternal;
-    dropped.message = "request dropped at dispatch (broken promise)";
-    ServeMetrics::Get().errors.Increment();
-    return dropped;
-  }
+std::future<Response> ServingStack::Submit(const Request& request) {
+  std::promise<Response> promise;
+  promise.set_value(ServeSync(request));
+  return promise.get_future();
 }
 
-Response ServingStack::ServeSync(const Request& request) {
-  auto future = Submit(request);
-  return Await(future);
+Response ServingStack::Await(std::future<Response>& future) {
+  return future.get();
 }
 
 void ServingStack::Drain() {
-  {
-    util::MutexLock lock(&mutex_);
-    draining_ = true;
-  }
-  util::Backoff backoff(
-      {.initial = std::chrono::milliseconds(1), .max =
-           std::chrono::milliseconds(20)});
-  for (;;) {
-    try {
-      pool_.Wait();
-    } catch (...) {
-      // An injected dispatch fault (threadpool.task) surfaced through the
-      // pool's error channel; the affected request's promise is already
-      // broken, so just keep waiting for the rest.
-      continue;
-    }
-    // A worker releases its queue slot when the task closure is
-    // destroyed, which is slightly after the pool counts the task done —
-    // and a racing Submit may hold a slot it has not yet enqueued.
-    // depth_ == 0 is the authoritative "everything resolved" signal.
-    if (QueueDepth() == 0) return;
-    backoff.SleepNext();
-  }
+  util::MutexLock lock(&mutex_);
+  draining_ = true;
+  while (depth_ != 0) drained_.Wait(lock);
 }
 
 std::size_t ServingStack::QueueDepth() const {

@@ -4,16 +4,18 @@
 // cheap and predictable under load (CFSF §IV response-time results).
 // This layer makes that promise hold under *hostile* load by composing:
 //
-//   admission control   a bounded request queue over par::ThreadPool:
-//                       depth >= queue_capacity sheds the request
-//                       outright (kShed); depth >= degrade_watermark
-//                       applies the configured watermark policy —
-//                       degrade the request to a cheaper ladder tier
-//                       (kDegrade, the default) or refuse it (kRejected)
+//   admission control   a bounded count of requests in flight, with no
+//                       queue: every request runs on the thread that
+//                       calls ServeSync (over HTTP, the connection
+//                       worker that parsed it).  In flight >=
+//                       queue_capacity sheds the request outright
+//                       (kShed); in flight >= degrade_watermark applies
+//                       the configured watermark policy — degrade the
+//                       request to a cheaper ladder tier (kDegrade, the
+//                       default) or refuse it (kRejected)
 //   deadline propagation each request carries a robust::Deadline from
-//                       the API through the queue into the ladder, so
-//                       time queued counts against the budget and a
-//                       late request degrades instead of blocking
+//                       the API into the ladder, so a late request
+//                       degrades instead of blocking
 //   circuit breaker     serve/circuit_breaker.hpp scores every outcome
 //                       and moves the default tier for the whole stack
 //                       (full → SIR′ → user mean → global mean),
@@ -22,9 +24,9 @@
 //                       serve/model_generation.hpp, so a swap never
 //                       blocks or fails an in-flight request
 //
-// The API is one pair: Submit(serve::Request) -> future<serve::Response>
+// The API is one call: ServeSync(serve::Request) -> serve::Response
 // (serve/api.hpp).  A Request is a single prediction, a batch served as
-// one queue unit, a top-N ranking, or a rating write; the Response
+// one admission unit, a top-N ranking, or a rating write; the Response
 // carries the shared StatusCode taxonomy, so the HTTP front end
 // (src/net/) translates rather than re-deciding.  Top-N has no degraded
 // rung: when the breaker or the watermark has moved the stack below
@@ -39,23 +41,26 @@
 // serving — breaker-style degradation to read-only rather than dying.
 //
 // Shutdown drains gracefully: Drain() stops admissions (everything new
-// is shed) and waits for in-flight work; the destructor drains too, so
-// a ServingStack can never outlive its workers.  Every accepted request
-// resolves its future exactly once — including on worker faults, which
-// surface as kInternal responses rather than exceptions.  The one
-// exception: a fault injected at the pool's own dispatch site
-// (threadpool.task) destroys the closure unexecuted, which breaks the
-// promise; Await()/ServeSync() map that std::future_error onto a
-// kInternal response so even injected dispatch storms cannot wedge a
-// client.
+// is shed) and waits until the last in-flight caller has released its
+// slot; the destructor drains too.  Every admitted request releases its
+// slot exactly once, through a scoped guard, and a fault inside the
+// request (serve.worker, or any lower layer) surfaces as a kInternal
+// response rather than an exception.
+//
+// Submit/Await and ServingOptions::num_workers remain only because
+// bench/perfbench/bench.cpp's traced re-issue compiles against them:
+// Submit returns a ready future of ServeSync, Await is a plain get(),
+// and num_workers is not read.  No other caller may use them; delete
+// them once that benchmark stops using them.
 //
 // Metrics: serve.requests / serve.ok / serve.shed / serve.rejected /
 // serve.errors / serve.refused / serve.degraded_admissions counters,
-// serve.queue_depth gauge, per-rung latency histograms
-// serve.latency_us.{full,sir,user_mean,global_mean} for predicts, plus
-// serve.latency_us.batch and serve.latency_us.topn.  Failpoints:
-// serve.admit (admission path) and serve.worker (worker path), plus
-// everything the lower layers define.
+// serve.queue_depth gauge (requests in flight), per-rung latency
+// histograms serve.latency_us.{full,sir,user_mean,global_mean} for
+// predicts, plus serve.latency_us.batch and serve.latency_us.topn.
+// Failpoints: serve.admit (admission) and serve.worker (request body,
+// before the model is touched), both evaluated on the caller's thread,
+// plus everything the lower layers define.
 #pragma once
 
 #include <chrono>
@@ -65,7 +70,6 @@
 #include <vector>
 
 #include "matrix/types.hpp"
-#include "parallel/thread_pool.hpp"
 #include "robust/fallback.hpp"
 #include "serve/api.hpp"
 #include "serve/circuit_breaker.hpp"
@@ -86,8 +90,12 @@ enum class WatermarkPolicy {
 };
 
 struct ServingOptions {
+  /// Not read, and no longer bounds concurrency: requests run on the
+  /// caller's thread, so as many run at once as there are callers, up
+  /// to queue_capacity.  Kept only because bench/perfbench/bench.cpp
+  /// still sets it; no other code may.
   std::size_t num_workers = 4;
-  /// Hard bound on queued+running requests; beyond it requests are shed.
+  /// Hard bound on requests in flight; beyond it requests are shed.
   std::size_t queue_capacity = 256;
   /// Depth at which the watermark policy kicks in; 0 disables.
   std::size_t degrade_watermark = 128;
@@ -107,34 +115,35 @@ struct ServingOptions {
 class ServingStack {
  public:
   /// `models` must outlive the stack and have an active generation
-  /// before the first Submit.
+  /// before the first request.
   ServingStack(ModelGeneration& models, const ServingOptions& options = {});
   ~ServingStack();  // drains
 
   ServingStack(const ServingStack&) = delete;
   ServingStack& operator=(const ServingStack&) = delete;
 
-  /// Admits one request of any kind.  Always returns a future that
-  /// Await() can resolve; refused requests (shed/rejected/malformed)
-  /// come back already completed.  A Request without a deadline picks
-  /// up options().default_budget.
-  std::future<Response> Submit(const Request& request)
+  /// Serves one request of any kind on the calling thread: validate,
+  /// admit, process, release the slot, return.  Refused requests
+  /// (shed/rejected/malformed) return at once.  A Request without a
+  /// deadline picks up options().default_budget.
+  Response ServeSync(const Request& request)
       CFSF_HOT_PATH CFSF_EXCLUDES(mutex_);
 
-  /// future.get() with the broken-promise case (a fault injected at the
-  /// pool dispatch site) mapped onto a kInternal response.
+  /// A ready future of ServeSync(request).  Kept only because
+  /// bench/perfbench/bench.cpp still calls it; no other code may.
+  std::future<Response> Submit(const Request& request) CFSF_EXCLUDES(mutex_);
+
+  /// future.get().  Kept only because bench/perfbench/bench.cpp still
+  /// calls it; no other code may.
   static Response Await(std::future<Response>& future) CFSF_BLOCKING;
 
-  /// Submit + Await in one call.
-  Response ServeSync(const Request& request)
-      CFSF_BLOCKING CFSF_EXCLUDES(mutex_);
-
   /// Stops admitting (new requests are shed) and waits until every
-  /// in-flight request has resolved.  Idempotent.
+  /// in-flight request has released its slot.  Idempotent.
   void Drain() CFSF_EXCLUDES(mutex_);
 
+  /// Requests in flight (admitted and not yet returned).
   std::size_t QueueDepth() const CFSF_EXCLUDES(mutex_);
-  /// High-water mark of the queue depth since construction — the soak
+  /// High-water mark of QueueDepth() since construction — the soak
   /// asserts it never exceeds queue_capacity.
   std::size_t MaxDepthSeen() const CFSF_EXCLUDES(mutex_);
 
@@ -152,8 +161,10 @@ class ServingStack {
     bool degraded = false;                   // watermark bumped the tier
   };
 
-  /// Reserves one queue slot (or refuses).  The slot is released by
-  /// the Pending shared state when the request resolves.
+  class Slot;
+
+  /// Reserves one in-flight slot (or refuses).  An admitted request
+  /// holds it in a Slot, whose destructor calls ReleaseSlot().
   Admission Admit() CFSF_EXCLUDES(mutex_);
   void ReleaseSlot() CFSF_EXCLUDES(mutex_);
 
@@ -172,12 +183,10 @@ class ServingStack {
   CircuitBreaker breaker_;
 
   mutable util::Mutex mutex_;
+  util::CondVar drained_;  // signalled by the last release while draining
   std::size_t depth_ CFSF_GUARDED_BY(mutex_) = 0;
   std::size_t max_depth_ CFSF_GUARDED_BY(mutex_) = 0;
   bool draining_ CFSF_GUARDED_BY(mutex_) = false;
-
-  // Declared last: workers must stop before the fields above go away.
-  par::ThreadPool pool_;
 };
 
 }  // namespace cfsf::serve

@@ -15,8 +15,8 @@
 //                   (lint rule `blocking-call-on-hot-path`).
 //   CFSF_BLOCKING   this function is a *sanctioned* blocking boundary:
 //                   callers accept that it may wait (the WAL append's
-//                   fsync, ThreadPool's joins, the Submit+Await sync
-//                   bridge).  Annotate the public entry point only —
+//                   fsync, ThreadPool's joins, a future's get).
+//                   Annotate the public entry point only —
 //                   internals reached any other way still count as
 //                   violations.
 //   CFSF_ACK_POINT  this function acks client-visible durability (the

@@ -1,14 +1,18 @@
 // Fault-injection tests for the HTTP front end (ctest label: fault):
-// the net.accept failpoint drops accepted connections before dispatch
-// and the net.write failpoint closes a connection before its response
-// is written — in both cases the server must keep serving afterwards.
+// the net.accept failpoint drops accepted connections before dispatch,
+// the threadpool.task failpoint drops one at the connection pool's
+// dispatch site, and the net.write failpoint closes a connection before
+// its response is written — in every case the client sees a close, not
+// a hang, and the server keeps serving afterwards.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -18,6 +22,8 @@
 #include "net/server.hpp"
 #include "net/service.hpp"
 #include "obs/failpoint.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "serve/model_generation.hpp"
 #include "serve/serving_stack.hpp"
 #include "util/backoff.hpp"
@@ -29,10 +35,14 @@ using obs::FailPointRegistry;
 using obs::ScopedFailPoint;
 
 /// One blocking request over a fresh connection; returns the HTTP
-/// status, or 0 when the connection died before a complete response.
+/// status, or 0 when the connection died before a complete response or
+/// sent nothing for 5 s.
 int OneShot(std::uint16_t port, const std::string& wire) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return 0;
+  const timeval receive_timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout,
+               sizeof(receive_timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -156,6 +166,38 @@ TEST_F(NetFaultTest, AcceptFaultDropsTheConnectionAndServerKeepsGoing) {
   // Fault cleared: the accept loop never died, service resumes.
   EXPECT_EQ(OneShot(server_->port(), kHealthz), 200);
   EXPECT_TRUE(DrainedWithin(*server_, 2000));
+}
+
+TEST_F(NetFaultTest, DispatchFaultClosesTheConnectionAndReleasesItsSlot) {
+  // A dedicated server, so Stop() can be asserted to return.
+  net::ServingService service(*stack_);
+  net::HttpServer server(service);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto& dropped = obs::MetricsRegistry::Global().GetCounter(
+      obs::names::kNetConnDropped);
+  const std::uint64_t dropped_before = dropped.Value();
+  {
+    // The connection's pool closure is destroyed unexecuted: the
+    // client must read a close promptly, not wait for a response that
+    // never comes.
+    ScopedFailPoint guard("threadpool.task", "once");
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(OneShot(server.port(), kHealthz), 0);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(2));
+    EXPECT_EQ(FailPointRegistry::Global().TripCount("threadpool.task"), 1u);
+  }
+  // Its connection slot came back, so the next connection is served.
+  EXPECT_TRUE(DrainedWithin(server, 2000));
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(dropped.Value(), dropped_before + 1);
+  }
+  EXPECT_EQ(OneShot(server.port(), kHealthz), 200);
+  // The pool rethrows the captured dispatch fault at Wait(); Stop()
+  // must absorb it rather than take the process down.
+  server.Stop();
+  EXPECT_FALSE(server.running());
 }
 
 TEST_F(NetFaultTest, WriteFaultClosesBeforeTheResponseAndServerSurvives) {

@@ -3,12 +3,13 @@
 // sockets by a minimal test client.  Round-trips every route —
 // /v1/predict, /v1/predict-batch, /v1/rate, /v1/top-n, /healthz,
 // /metrics — and the cross-cutting wire behaviours (keep-alive,
-// deadline/trace headers, error statuses, the slow-read timeout,
-// graceful drain).  ctest label: integration.
+// deadline/trace headers, error statuses, the slow-read timeout, the
+// idle keep-alive rule, graceful drain).  ctest label: integration.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "core/cfsf.hpp"
 #include "data/synthetic.hpp"
@@ -66,16 +68,22 @@ class TestClient {
 
   /// Writes `wire` and reads exactly one response.
   Reply Roundtrip(const std::string& wire) {
-    Reply reply;
-    if (fd_ < 0) return reply;
+    if (fd_ < 0) return Reply{};
     std::size_t sent = 0;
     while (sent < wire.size()) {
       const ssize_t n =
           ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return reply;
+      if (n <= 0) return Reply{};
       sent += static_cast<std::size_t>(n);
     }
+    return ReadResponse();
+  }
 
+  /// Reads exactly one response, e.g. the server's unsolicited inline
+  /// 503 at max_connections.
+  Reply ReadResponse() {
+    Reply reply;
+    if (fd_ < 0) return reply;
     std::string buffer;
     std::size_t header_end = std::string::npos;
     char chunk[4096];
@@ -98,6 +106,18 @@ class TestClient {
       if (n <= 0) return reply;  // closed or error before a full response
       buffer.append(chunk, static_cast<std::size_t>(n));
     }
+  }
+
+  /// True when the server closes the connection (recv reads EOF)
+  /// within `timeout` without sending anything first.
+  bool ReadsEof(std::chrono::milliseconds timeout) {
+    if (fd_ < 0) return false;
+    pollfd poller{fd_, POLLIN, 0};
+    if (::poll(&poller, 1, static_cast<int>(timeout.count())) <= 0) {
+      return false;
+    }
+    char byte = 0;
+    return ::recv(fd_, &byte, 1, 0) == 0;
   }
 
   /// Convenience builders.
@@ -374,6 +394,125 @@ TEST_F(NetIntegrationTest, SlowRequestReadTimesOutAndCloses) {
   TestClient healthy(server.port());
   ASSERT_TRUE(healthy.connected());
   EXPECT_EQ(healthy.Get("/healthz").status, 200);
+  server.Stop();
+}
+
+/// A dedicated server with a 100 ms keep-alive idle timeout.
+net::ServerOptions IdleTimeoutOptions(std::size_t workers) {
+  net::ServerOptions options;
+  options.num_workers = workers;
+  options.poll_interval = std::chrono::milliseconds(10);
+  options.idle_timeout = std::chrono::milliseconds(100);
+  return options;
+}
+
+TEST_F(NetIntegrationTest, IdleConnectionKeepsItsWorkerWhileNoneWaits) {
+  net::ServingService service(*stack_);
+  net::HttpServer server(service, IdleTimeoutOptions(2));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto& idle_closed =
+      obs::MetricsRegistry::Global().GetCounter(obs::names::kNetIdleClosed);
+  const std::uint64_t closed_before = idle_closed.Value();
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  EXPECT_EQ(client.Get("/healthz").status, 200);
+  // Four idle timeouts with no other connection waiting: closing this
+  // one would free a worker nobody needs.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const TestClient::Reply reply = client.Get("/healthz");
+  ASSERT_TRUE(reply.ok) << "the idle connection was closed under the client";
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_EQ(idle_closed.Value(), closed_before);
+  server.Stop();
+}
+
+TEST_F(NetIntegrationTest, IdleConnectionYieldsItsWorkerToAWaitingOne) {
+  const net::ServerOptions options = IdleTimeoutOptions(1);
+  net::ServingService service(*stack_);
+  net::HttpServer server(service, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto& idle_closed =
+      obs::MetricsRegistry::Global().GetCounter(obs::names::kNetIdleClosed);
+  const std::uint64_t closed_before = idle_closed.Value();
+
+  // A takes the only worker and goes idle; B queues behind it.
+  TestClient idle(server.port());
+  ASSERT_TRUE(idle.connected());
+  EXPECT_EQ(idle.Get("/healthz").status, 200);
+  TestClient waiting(server.port());
+  ASSERT_TRUE(waiting.connected());
+  const auto start = std::chrono::steady_clock::now();
+  const TestClient::Reply reply = waiting.Get("/healthz");
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(reply.ok);
+  EXPECT_EQ(reply.status, 200);
+  // About idle_timeout + poll_interval, with slack for a loaded host.
+  EXPECT_LT(waited, options.idle_timeout + options.poll_interval +
+                        std::chrono::milliseconds(500));
+  EXPECT_TRUE(idle.ReadsEof(std::chrono::milliseconds(2000)));
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(idle_closed.Value(), closed_before + 1);
+  }
+  server.Stop();
+}
+
+TEST_F(NetIntegrationTest, IdleConnectionYieldsItsSlotToATurnedAwayOne) {
+  // A worker per connection slot: nothing ever waits in the pool queue,
+  // so the only sign that a client wants an idle connection's slot is
+  // the inline 503 at max_connections.
+  net::ServerOptions options = IdleTimeoutOptions(2);
+  options.max_connections = 2;
+  net::ServingService service(*stack_);
+  net::HttpServer server(service, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto& idle_closed =
+      obs::MetricsRegistry::Global().GetCounter(obs::names::kNetIdleClosed);
+  const std::uint64_t closed_before = idle_closed.Value();
+
+  TestClient first(server.port());
+  TestClient second(server.port());
+  ASSERT_TRUE(first.connected());
+  ASSERT_TRUE(second.connected());
+  EXPECT_EQ(first.Get("/healthz").status, 200);
+  EXPECT_EQ(second.Get("/healthz").status, 200);
+  // Past idle_timeout, with no client turned away yet: both stay open.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(server.ActiveConnections(), 2u);
+  EXPECT_EQ(idle_closed.Value(), closed_before);
+
+  {
+    TestClient turned_away(server.port());
+    ASSERT_TRUE(turned_away.connected());
+    const TestClient::Reply reply = turned_away.ReadResponse();
+    ASSERT_TRUE(reply.ok);
+    EXPECT_EQ(reply.status, 503);
+  }
+  // The rejection frees one slot, within about one poll interval.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (server.ActiveConnections() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.ActiveConnections(), 1u)
+      << "idle connections kept every slot from a turned-away client";
+  TestClient retry(server.port());
+  ASSERT_TRUE(retry.connected());
+  EXPECT_EQ(retry.Get("/healthz").status, 200);
+
+  // Exactly one idle connection yielded; the other is still served.
+  const bool first_closed = first.ReadsEof(std::chrono::milliseconds(50));
+  const bool second_closed = second.ReadsEof(std::chrono::milliseconds(50));
+  EXPECT_NE(first_closed, second_closed);
+  TestClient& kept = first_closed ? second : first;
+  EXPECT_EQ(kept.Get("/healthz").status, 200);
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(idle_closed.Value(), closed_before + 1);
+  }
   server.Stop();
 }
 

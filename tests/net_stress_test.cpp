@@ -223,9 +223,7 @@ TEST(NetStressTest, FloodSurvivesMidFlightHotSwapWithZeroDrops) {
 
   serve::ModelGeneration models;
   models.Install(std::move(model));
-  serve::ServingOptions serving;
-  serving.num_workers = 4;
-  serve::ServingStack stack(models, serving);
+  serve::ServingStack stack(models);
   net::ServingService service(stack);
 
   net::ServerOptions options;

@@ -1,6 +1,6 @@
 // Tests for the resilient serving layer: circuit-breaker state machine,
-// admission control (shedding, watermark degrade/reject), deadline
-// propagation, hot model swap, dispatch-fault survival, the durable
+// admission control (shedding, watermark degrade/reject, drain),
+// deadline propagation, hot model swap, worker-fault survival, the durable
 // Rate verb (write-ahead log + DeltaFolder fold-and-publish) — and the
 // chaos soak that drives all of it at once under randomized failpoint
 // schedules (ctest labels: fault + stress).
@@ -11,7 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <future>
+#include <functional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -247,7 +247,6 @@ TEST(RequestTest, ValidationCatchesNonsense) {
 
 ServingOptions SmallStack() {
   ServingOptions options;
-  options.num_workers = 2;
   options.queue_capacity = 32;
   options.degrade_watermark = 24;
   options.breaker = FastBreaker();
@@ -380,56 +379,121 @@ TEST_F(ServeTest, AdmissionFailpointShedsInsteadOfThrowing) {
   EXPECT_EQ(response.code, StatusCode::kShed);
 }
 
+// A full-tier batch big enough to stay in flight while a test probes
+// the stack from another thread.
+constexpr std::size_t kHolderBatch = 200000;
+
+Request HolderBatch() {
+  return Request::PredictBatch(
+      std::vector<std::pair<matrix::UserId, matrix::ItemId>>(kHolderBatch,
+                                                             {0, 0}));
+}
+
+/// Spins until `stack` reports `depth` requests in flight; false if that
+/// takes longer than 30 s.
+bool WaitForDepth(const ServingStack& stack, std::size_t depth) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (stack.QueueDepth() != depth) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// Holds `holders` in-flight slots with concurrent ServeSync callers,
+/// each running a holder batch admitted below the watermark, and calls
+/// `probe` once all of them are in flight.  Every holder must be
+/// answered in full at full fusion.
+void WithHolders(ServingStack& stack, std::size_t holders,
+                 const std::function<void()>& probe) {
+  std::vector<Response> held(holders);
+  std::vector<std::thread> threads;
+  threads.reserve(holders);
+  for (std::size_t h = 0; h < holders; ++h) {
+    threads.emplace_back(
+        [&stack, &held, h] { held[h] = stack.ServeSync(HolderBatch()); });
+  }
+  if (WaitForDepth(stack, holders)) {
+    probe();
+  } else {
+    ADD_FAILURE() << "holders never reached depth " << holders;
+  }
+  for (auto& thread : threads) thread.join();
+  for (const Response& response : held) {
+    EXPECT_EQ(response.code, StatusCode::kOk);
+    EXPECT_EQ(response.tier, 0u);
+    EXPECT_EQ(response.predictions.size(), kHolderBatch);
+  }
+}
+
 TEST_F(ServeTest, WatermarkDegradesThenCapacitySheds) {
-  // One worker, pinned down by a big batch: singles pile up behind it
-  // and walk the admission ladder deterministically.
+  // Three holders put the stack at the watermark: each probe is admitted
+  // (depth 3 < capacity 4) but degraded to the watermark tier.
   ServingOptions options;
-  options.num_workers = 1;
   options.queue_capacity = 4;
-  options.degrade_watermark = 1;
+  options.degrade_watermark = 3;
   options.watermark_level = 2;
   options.breaker = FastBreaker();
-  ServingStack stack(Models(), options);
+  ServingStack degrading(Models(), options);
+  WithHolders(degrading, 3, [&] {
+    for (matrix::UserId user = 2; user <= 4; ++user) {
+      const Response r = degrading.ServeSync(Request::Predict(user, user));
+      EXPECT_EQ(r.code, StatusCode::kOk);
+      EXPECT_GE(r.tier, 2u);
+      ASSERT_EQ(r.predictions.size(), 1u);
+      EXPECT_GE(r.predictions[0].rung, PredictionRung::kUserMean);
+    }
+  });
+  EXPECT_LE(degrading.MaxDepthSeen(), options.queue_capacity);
 
-  std::vector<std::pair<matrix::UserId, matrix::ItemId>> big(
-      100000, {0, 0});
-  auto batch_future = stack.Submit(Request::PredictBatch(std::move(big)));
-  // depth 1 >= watermark: everything below is admitted degraded.
-  auto degraded_a = stack.Submit(Request::Predict(2, 2));  // depth 2
-  auto degraded_b = stack.Submit(Request::Predict(3, 3));  // depth 3
-  auto degraded_c = stack.Submit(Request::Predict(4, 4));  // depth 4 == cap
-  const Response shed = stack.ServeSync(Request::Predict(5, 5));
-  EXPECT_EQ(shed.code, StatusCode::kShed);
-
-  const Response a = ServingStack::Await(degraded_a);
-  const Response b = ServingStack::Await(degraded_b);
-  const Response c = ServingStack::Await(degraded_c);
-  for (const Response* r : {&a, &b, &c}) {
-    EXPECT_EQ(r->code, StatusCode::kOk);
-    EXPECT_GE(r->tier, 2u);
-    ASSERT_EQ(r->predictions.size(), 1u);
-    EXPECT_GE(r->predictions[0].rung, PredictionRung::kUserMean);
-  }
-  const Response batch = ServingStack::Await(batch_future);
-  EXPECT_EQ(batch.predictions.size(), 100000u);
-  EXPECT_LE(stack.MaxDepthSeen(), options.queue_capacity);
+  // Three holders fill a stack of capacity 3: the probe is shed.
+  options.queue_capacity = 3;
+  ServingStack full(Models(), options);
+  WithHolders(full, 3, [&] {
+    EXPECT_EQ(full.ServeSync(Request::Predict(5, 5)).code, StatusCode::kShed);
+  });
+  EXPECT_LE(full.MaxDepthSeen(), options.queue_capacity);
 }
 
 TEST_F(ServeTest, WatermarkRejectPolicyRefuses) {
   ServingOptions options;
-  options.num_workers = 1;
   options.queue_capacity = 4;
   options.degrade_watermark = 1;
   options.watermark_policy = serve::WatermarkPolicy::kReject;
   options.breaker = FastBreaker();
   ServingStack stack(Models(), options);
+  WithHolders(stack, 1, [&] {
+    EXPECT_EQ(stack.ServeSync(Request::Predict(1, 1)).code,
+              StatusCode::kRejected);
+  });
+}
 
-  std::vector<std::pair<matrix::UserId, matrix::ItemId>> big(
-      100000, {0, 0});
-  auto batch_future = stack.Submit(Request::PredictBatch(std::move(big)));
-  const Response rejected = stack.ServeSync(Request::Predict(1, 1));
-  EXPECT_EQ(rejected.code, StatusCode::kRejected);
-  ServingStack::Await(batch_future);
+TEST_F(ServeTest, DrainWaitsForInFlightCallersThenSheds) {
+  ServingStack stack(Models(), SmallStack());
+  auto& batches = obs::MetricsRegistry::Global().GetHistogram(
+      obs::names::kServeLatencyBatch, obs::LatencyBucketsUs());
+  const std::uint64_t batches_before = batches.Count();
+  Response held;
+  std::thread holder([&] { held = stack.ServeSync(HolderBatch()); });
+  ASSERT_TRUE(WaitForDepth(stack, 1));
+  // The holder's batch latency is recorded before its slot is released,
+  // so a Drain() that waited sees it; one that returned early does not.
+  std::uint64_t batches_at_drain = 0;
+  std::thread drainer([&] {
+    stack.Drain();
+    batches_at_drain = batches.Count();
+  });
+  drainer.join();
+  holder.join();
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(batches_at_drain, batches_before + 1);
+  }
+  EXPECT_EQ(held.code, StatusCode::kOk);
+  EXPECT_EQ(held.predictions.size(), kHolderBatch);
+  EXPECT_EQ(stack.QueueDepth(), 0u);
+  // Drained stacks shed.
+  EXPECT_EQ(stack.ServeSync(Request::Predict(0, 0)).code, StatusCode::kShed);
 }
 
 TEST_F(ServeTest, WorkerFaultYieldsErrorResultAndStackSurvives) {
@@ -442,24 +506,6 @@ TEST_F(ServeTest, WorkerFaultYieldsErrorResultAndStackSurvives) {
   }
   EXPECT_EQ(stack.ServeSync(Request::Predict(0, 0)).code, StatusCode::kOk);
   EXPECT_EQ(stack.QueueDepth(), 0u);
-}
-
-TEST_F(ServeTest, DispatchFaultBreaksPromiseNotTheClient) {
-  ServingStack stack(Models(), SmallStack());
-  {
-    // threadpool.task fires before the task closure runs: the promise
-    // inside the destroyed closure breaks.  The client must still get a
-    // (kInternal) answer and the queue slot must be released.
-    ScopedFailPoint guard("threadpool.task", "always");
-    const Response response = stack.ServeSync(Request::Predict(0, 0));
-    EXPECT_EQ(response.code, StatusCode::kInternal);
-    EXPECT_NE(response.message.find("dropped at dispatch"),
-              std::string::npos);
-  }
-  stack.Drain();
-  EXPECT_EQ(stack.QueueDepth(), 0u);
-  // Drained stacks shed; a fresh stack over the same models still works.
-  EXPECT_EQ(stack.ServeSync(Request::Predict(0, 0)).code, StatusCode::kShed);
 }
 
 // Full fusion faults on every request until the breaker steps the stack
@@ -477,7 +523,6 @@ TEST_F(ServeTest, BreakerTripsAndRefusesRankingThroughTheStack) {
   // A one-hour cooldown keeps the breaker open for the whole test, so the
   // refusal below cannot race a half-open probe.
   ServingOptions options = SmallStack();
-  options.num_workers = 1;  // keep outcome ordering deterministic
   options.breaker.cooldown = std::chrono::hours(1);
   ServingStack stack(Models(), options);
   TripBreaker(stack);
@@ -490,7 +535,6 @@ TEST_F(ServeTest, BreakerTripsAndRefusesRankingThroughTheStack) {
 
 TEST_F(ServeTest, BreakerTripsAndRecoversThroughTheStack) {
   ServingOptions options = SmallStack();
-  options.num_workers = 1;  // keep outcome ordering deterministic
   ServingStack stack(Models(), options);
   TripBreaker(stack);
   // Fault cleared: half-open probes climb back to full fusion.
@@ -711,7 +755,6 @@ TEST_F(ServeTest, ChaosSoakSurvivesRandomizedFailpointSchedules) {
   core::SaveModel(*FreshModel(), swap_path);
 
   ServingOptions options;
-  options.num_workers = 4;
   options.queue_capacity = 64;
   options.degrade_watermark = 48;
   options.breaker = FastBreaker();
@@ -732,7 +775,6 @@ TEST_F(ServeTest, ChaosSoakSurvivesRandomizedFailpointSchedules) {
       {"cfsf.predict", 0.5},
       {"serve.worker", 0.05},
       {"serve.admit", 0.02},
-      {"threadpool.task", 0.02},
   };
   core::LoadRetryOptions retry;
   retry.initial_backoff = std::chrono::milliseconds(1);

@@ -2,8 +2,8 @@
 // give the sanitizer presets, TSan in particular, real contention to
 // bite on: ThreadPool Submit/Wait cycles under concurrent producers,
 // parallel_for static/dynamic chunking, and concurrent online-phase
-// prediction against one shared CfsfModel (the serving scenario the
-// ROADMAP is heading toward).
+// prediction against one shared CfsfModel, and caller-thread serving
+// through one ServingStack.
 //
 // The tests are sized to finish in seconds uninstrumented and tens of
 // seconds under TSan; they assert full effect counts so a lost task,
@@ -11,6 +11,7 @@
 // sanitizer attached.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -21,10 +22,13 @@
 #include "core/cfsf_model.hpp"
 #include "data/synthetic.hpp"
 #include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "obs/failpoint.hpp"
 #include "robust/fallback.hpp"
+#include "serve/model_generation.hpp"
+#include "serve/serving_stack.hpp"
 #include "util/error.hpp"
 #include "wal/log.hpp"
 
@@ -509,6 +513,107 @@ TEST(WalStress, ConcurrentAppendersSyncerAndDrainerLoseNothing) {
             static_cast<std::uint64_t>(kAppenders) * kRecordsEach);
   reopened.Close();
   fs::remove_all(dir);
+}
+
+// Caller-thread serving: 16 threads call ServeSync directly against a
+// stack of capacity 4 and watermark 2, so admission, shedding, degrade
+// and the in-flight count all run under real contention.
+TEST(ServeStress, InlineCallersStayWithinCapacityAndAreCountedOnce) {
+  data::SyntheticConfig data_config;
+  data_config.num_users = 60;
+  data_config.num_items = 80;
+  data_config.min_ratings_per_user = 15;
+  data_config.max_ratings_per_user = 30;
+  core::CfsfConfig config;
+  config.num_clusters = 5;
+  config.top_m_items = 15;
+  config.top_k_users = 8;
+  auto model = std::make_unique<core::CfsfModel>(config);
+  model->Fit(data::GenerateSynthetic(data_config));
+  serve::ModelGeneration models;
+  models.Install(std::move(model));
+
+  serve::ServingOptions options;
+  options.queue_capacity = 4;
+  options.degrade_watermark = 2;
+  serve::ServingStack stack(models, options);
+
+  auto& registry = obs::MetricsRegistry::Global();
+  const auto counter = [&registry](const char* name) {
+    return registry.GetCounter(name).Value();
+  };
+  const char* const kOutcomes[] = {
+      obs::names::kServeOk, obs::names::kServeShed, obs::names::kServeRejected,
+      obs::names::kServeErrors, obs::names::kServeRefused};
+  std::vector<std::uint64_t> before;
+  for (const char* name : kOutcomes) before.push_back(counter(name));
+  const std::uint64_t requests_before = counter(obs::names::kServeRequests);
+
+  constexpr int kThreads = 16;
+  constexpr int kRequestsEach = 150;
+  constexpr std::size_t kBatch = 8;
+  // Per-outcome tallies weighted as the serve.* counters weigh them (a
+  // batch of N counts N), indexed like kOutcomes.
+  std::array<std::atomic<std::uint64_t>, 5> seen{};
+  std::atomic<std::uint64_t> weight_issued{0};
+  std::atomic<int> non_finite{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (int r = 0; r < kRequestsEach; ++r) {
+        const auto user = static_cast<matrix::UserId>((t * 7 + r) % 60);
+        const auto item = static_cast<matrix::ItemId>((t * 13 + r) % 80);
+        serve::Request request = serve::Request::Predict(user, item);
+        std::uint64_t weight = 1;
+        if (r % 3 == 1) {
+          std::vector<std::pair<matrix::UserId, matrix::ItemId>> queries;
+          for (std::size_t q = 0; q < kBatch; ++q) {
+            queries.emplace_back(user, static_cast<matrix::ItemId>(
+                                           (item + q) % 80));
+          }
+          request = serve::Request::PredictBatch(std::move(queries));
+          weight = kBatch;
+        } else if (r % 3 == 2) {
+          request = serve::Request::TopN(user, 5);
+        }
+        const serve::Response response = stack.ServeSync(request);
+        weight_issued.fetch_add(weight);
+        std::size_t outcome = 4;  // refused: e.g. a degraded top-n
+        switch (response.code) {
+          case serve::StatusCode::kOk: outcome = 0; break;
+          case serve::StatusCode::kShed: outcome = 1; break;
+          case serve::StatusCode::kRejected: outcome = 2; break;
+          case serve::StatusCode::kInternal: outcome = 3; break;
+          default: break;
+        }
+        seen[outcome].fetch_add(weight);
+        for (const serve::Prediction& p : response.predictions) {
+          if (!std::isfinite(p.value)) non_finite.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+
+  EXPECT_LE(stack.MaxDepthSeen(), options.queue_capacity);
+  EXPECT_EQ(stack.QueueDepth(), 0u);
+  EXPECT_EQ(non_finite.load(), 0);
+  std::uint64_t total = 0;
+  for (const auto& tally : seen) total += tally.load();
+  EXPECT_EQ(total, weight_issued.load());
+  EXPECT_GT(seen[0].load(), 0u);
+  if (obs::MetricsEnabled()) {
+    // Each request lands in exactly one outcome counter, and in the one
+    // its caller saw.
+    EXPECT_EQ(counter(obs::names::kServeRequests) - requests_before,
+              weight_issued.load());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(counter(kOutcomes[i]) - before[i], seen[i].load())
+          << kOutcomes[i];
+    }
+    EXPECT_EQ(registry.GetGauge(obs::names::kServeQueueDepth).Value(), 0.0);
+  }
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 //   cfsf_cli verify-model --model=model.bin
 //   cfsf_cli json-check --file=out.json
 //   cfsf_cli serve-bench [--smoke] [--clients=8 --requests=300
-//                        --workers=4 --capacity=64 --budget-us=500
+//                        --capacity=64 --budget-us=500
 //                        --seed=N --chaos=true --swap-file=PATH]
 //   cfsf_cli serve     [--model=model.bin] [--bind=127.0.0.1 --port=0
 //                      --workers=4 --max-connections=32 --capacity=64
@@ -354,7 +354,6 @@ int CmdServeBench(util::ArgParser& args) {
   soak.seed = static_cast<std::uint64_t>(args.GetInt("seed", 0xC405));
   const bool chaos = args.GetBool("chaos", true);
   serve::ServingOptions options;
-  options.num_workers = static_cast<std::size_t>(args.GetInt("workers", 4));
   options.queue_capacity =
       static_cast<std::size_t>(args.GetInt("capacity", 64));
   options.degrade_watermark = options.queue_capacity * 3 / 4;
@@ -397,7 +396,6 @@ int CmdServeBench(util::ArgParser& args) {
         {"cfsf.predict", 0.5},
         {"serve.worker", 0.05},
         {"serve.admit", 0.02},
-        {"threadpool.task", 0.02},
     };
   }
   core::LoadRetryOptions retry;
@@ -468,7 +466,6 @@ int CmdServe(util::ArgParser& args) {
   server_options.max_connections =
       static_cast<std::size_t>(args.GetInt("max-connections", 32));
   serve::ServingOptions serving_options;
-  serving_options.num_workers = server_options.num_workers;
   serving_options.queue_capacity =
       static_cast<std::size_t>(args.GetInt("capacity", 64));
   serving_options.degrade_watermark = serving_options.queue_capacity * 3 / 4;
