@@ -1,14 +1,16 @@
 // Incremental updates: the paper's "keep GIS up-to-date" future-work item.
 //
-// A live recommender keeps receiving ratings.  This example inserts new
-// ratings into a fitted model one at a time, showing that (a) the affected
-// GIS row is refreshed in place, (b) predictions react to the new
-// evidence, and (c) the per-user caches are invalidated — all without
-// re-running K-means or rebuilding the full GIS.
+// A live recommender keeps receiving ratings.  This example folds a batch
+// of new ratings into a fitted model with one WithRatings call, showing
+// that (a) the result is a new model whose touched GIS rows are refreshed,
+// (b) its predictions react to the new evidence, and (c) it starts with
+// empty per-user caches — all without re-running K-means or rebuilding
+// the full GIS.
 //
 //   ./incremental_updates
 #include <cstdio>
 #include <exception>
+#include <vector>
 
 #include "core/cfsf.hpp"
 #include "util/stopwatch.hpp"
@@ -29,20 +31,21 @@ int main() try {
   std::printf("\nuser %u, item %u: actual %.0f, predicted %.3f\n", probe.user,
               probe.item, static_cast<double>(probe.actual), before);
 
-  // The user now tells us some of their real opinions: feed the next few
-  // withheld ratings (except the probe itself) into the model.
-  std::size_t inserted = 0;
-  util::Stopwatch update_watch;
+  // The user now tells us some of their real opinions: fold the next few
+  // withheld ratings (except the probe itself) into a new model.
+  std::vector<matrix::RatingTriple> batch;
   for (const auto& t : split.test) {
     if (t.user != probe.user || t.item == probe.item) continue;
-    model.InsertRating(t.user, t.item, t.actual);
-    if (++inserted == 5) break;
+    batch.push_back({t.user, t.item, t.actual, 0});
+    if (batch.size() == 5) break;
   }
-  std::printf("inserted %zu ratings in %.2fs (incremental path: GIS row "
+  util::Stopwatch update_watch;
+  const auto updated = model.WithRatings(batch);
+  std::printf("folded %zu ratings in %.2fs (incremental path: GIS row "
               "refresh + re-smoothing, no re-clustering)\n",
-              inserted, update_watch.ElapsedSeconds());
+              batch.size(), update_watch.ElapsedSeconds());
 
-  const double after = model.Predict(probe.user, probe.item);
+  const double after = updated->Predict(probe.user, probe.item);
   std::printf("prediction after updates: %.3f (was %.3f, actual %.0f)\n",
               after, before, static_cast<double>(probe.actual));
   std::printf("|error| before %.3f -> after %.3f\n",
@@ -50,7 +53,7 @@ int main() try {
 
   // Compare against the cost of the sledgehammer alternative.
   util::Stopwatch refit_watch;
-  model.Fit(model.train());
+  model.Fit(updated->train());
   std::printf("\nfull refit for comparison: %.2fs\n",
               refit_watch.ElapsedSeconds());
   return 0;

@@ -596,8 +596,43 @@ std::vector<CfsfModel::Recommendation> CfsfModel::RecommendTopN(
 std::unique_ptr<CfsfModel> CfsfModel::WithRatings(
     std::span<const matrix::RatingTriple> ratings) const {
   CFSF_REQUIRE(fitted_, "WithRatings before Fit");
-  matrix::RatingMatrix train = train_.WithRatings(ratings);
+  return Spliced(ratings, train_.WithRatings(ratings), clusters_.assignments());
+}
 
+std::unique_ptr<CfsfModel> CfsfModel::WithNewUser(
+    std::span<const std::pair<matrix::ItemId, matrix::Rating>> ratings) const {
+  CFSF_REQUIRE(fitted_, "WithNewUser before Fit");
+  CFSF_REQUIRE(!ratings.empty(), "WithNewUser needs at least one rating");
+  const auto user = static_cast<matrix::UserId>(NumUsers());
+  std::vector<matrix::RatingTriple> batch;
+  batch.reserve(ratings.size());
+  for (const auto& [item, value] : ratings) {
+    CFSF_REQUIRE(item < NumItems(), "WithNewUser item id out of range");
+    batch.push_back(matrix::RatingTriple{user, item, value, 0});
+  }
+  matrix::RatingMatrix train = train_.WithRatings(batch, NumUsers() + 1);
+
+  // The newcomer joins their most affine cluster (Eq. 9) against this
+  // model's deviations; on a tie the lowest cluster id wins.
+  const auto row = train.UserRow(user);
+  const double mean = train.UserMean(user);
+  std::uint32_t best_cluster = 0;
+  double best_affinity = -std::numeric_limits<double>::infinity();
+  for (std::uint32_t c = 0; c < clusters_.num_clusters(); ++c) {
+    const double affinity = clusters_.AffinityOf(row, mean, c);
+    if (affinity > best_affinity) {
+      best_affinity = affinity;
+      best_cluster = c;
+    }
+  }
+  std::vector<std::uint32_t> assignments = clusters_.assignments();
+  assignments.push_back(best_cluster);
+  return Spliced(batch, std::move(train), std::move(assignments));
+}
+
+std::unique_ptr<CfsfModel> CfsfModel::Spliced(
+    std::span<const matrix::RatingTriple> ratings, matrix::RatingMatrix train,
+    std::vector<std::uint32_t> assignments) const {
   // Refresh the touched GIS rows together (future-work extension).
   std::vector<matrix::ItemId> touched;
   touched.reserve(ratings.size());
@@ -605,10 +640,10 @@ std::unique_ptr<CfsfModel> CfsfModel::WithRatings(
   sim::GlobalItemSimilarity gis = gis_;
   gis.RefreshItems(train, touched);
 
-  // Re-smooth with the existing cluster assignments; K-means itself is not
-  // re-run (a full Fit() does that).
+  // Re-smooth under `assignments`; K-means itself is not re-run (a full
+  // Fit() does that).
   return Restore(config_, std::move(train), std::move(gis),
-                 clusters_.assignments());
+                 std::move(assignments));
 }
 
 void CfsfModel::InsertRating(matrix::UserId user, matrix::ItemId item,
@@ -620,54 +655,6 @@ void CfsfModel::InsertRating(matrix::UserId user, matrix::ItemId item,
   clusters_ = std::move(next->clusters_);
   latest_timestamp_ = next->latest_timestamp_;
   ClearCache();
-}
-
-matrix::UserId CfsfModel::AddUser(
-    std::span<const std::pair<matrix::ItemId, matrix::Rating>> ratings) {
-  CFSF_REQUIRE(fitted_, "AddUser before Fit");
-  CFSF_REQUIRE(!ratings.empty(), "AddUser needs at least one rating");
-  for (const auto& [item, value] : ratings) {
-    (void)value;
-    CFSF_REQUIRE(item < train_.num_items(), "AddUser item id out of range");
-  }
-
-  const auto new_user = static_cast<matrix::UserId>(train_.num_users());
-
-  // Extend the matrix by one row.
-  matrix::RatingMatrixBuilder builder(train_.num_users() + 1,
-                                      train_.num_items());
-  for (const auto& t : train_.ToTriples()) builder.Add(t);
-  for (const auto& [item, value] : ratings) builder.Add(new_user, item, value);
-  train_ = builder.Build();
-
-  // Assign the newcomer to their most affine cluster (Eq. 9 against the
-  // existing cluster deviations).
-  const auto row = train_.UserRow(new_user);
-  const double mean = train_.UserMean(new_user);
-  std::uint32_t best_cluster = 0;
-  double best_affinity = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < clusters_.num_clusters(); ++c) {
-    const double affinity =
-        clusters_.AffinityOf(row, mean, static_cast<std::uint32_t>(c));
-    if (affinity > best_affinity) {
-      best_affinity = affinity;
-      best_cluster = static_cast<std::uint32_t>(c);
-    }
-  }
-
-  std::vector<std::uint32_t> assignments = clusters_.assignments();
-  assignments.push_back(best_cluster);
-  BuildClusters(assignments, clusters_.num_clusters());
-
-  // Refresh the GIS rows of every item the newcomer rated.
-  std::vector<matrix::ItemId> touched;
-  touched.reserve(ratings.size());
-  for (const auto& [item, value] : ratings) {
-    (void)value;
-    touched.push_back(item);
-  }
-  gis_.RefreshItems(train_, touched);
-  return new_user;
 }
 
 std::size_t CfsfModel::CacheSize() const {

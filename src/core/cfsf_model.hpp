@@ -15,8 +15,9 @@
 //      with λ and δ (Eq. 14)
 //
 // Extensions beyond the paper's evaluation: batch/parallel prediction,
-// top-N recommendation, incremental rating insertion with GIS row
-// refresh, and optional exponential time-decay weighting.
+// top-N recommendation, immutable folds of new ratings and new users
+// (GIS row refresh, no K-means restart), and optional exponential
+// time-decay weighting.
 #pragma once
 
 #include <memory>
@@ -27,7 +28,6 @@
 #include "clustering/smoothing.hpp"
 #include "core/cfsf_config.hpp"
 #include "eval/predictor.hpp"
-#include "eval/degradable.hpp"
 #include "similarity/item_similarity.hpp"
 #include "util/attrs.hpp"
 #include "util/mutex.hpp"
@@ -49,7 +49,7 @@ struct SelectedUser {
   double similarity = 0.0;
 };
 
-class CfsfModel : public eval::Predictor, public eval::DegradableModel {
+class CfsfModel : public eval::Predictor {
  public:
   explicit CfsfModel(const CfsfConfig& config = {});
 
@@ -84,20 +84,8 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
   std::optional<double> PredictSirOnly(matrix::UserId user,
                                        matrix::ItemId item) const;
 
-  // eval::DegradableModel — the graceful-degradation ladder's view.
-  std::size_t NumUsers() const override { return train_.num_users(); }
-  std::size_t NumItems() const override { return train_.num_items(); }
-  double PredictFull(matrix::UserId user, matrix::ItemId item) const override {
-    return Predict(user, item);
-  }
-  std::optional<double> PredictDegraded(matrix::UserId user,
-                                        matrix::ItemId item) const override {
-    return PredictSirOnly(user, item);
-  }
-  double UserMeanOf(matrix::UserId user) const override {
-    return train_.UserMean(user);
-  }
-  double GlobalMeanOf() const override { return train_.GlobalMean(); }
+  std::size_t NumUsers() const { return train_.num_users(); }
+  std::size_t NumItems() const { return train_.num_items(); }
 
   /// Batch prediction, parallelised over distinct users (each worker
   /// selects that user's top-K once and reuses it for all their items).
@@ -130,23 +118,31 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
   /// (K-means is not re-run; call Fit() for that).  The result equals
   /// Restore(config, merged matrix, GlobalItemSimilarity::Build(merged
   /// matrix), same assignments) bit for bit, so one batch also equals the
-  /// same records folded one at a time.
+  /// same records folded one at a time.  Every id must be in range: a
+  /// fold never enrols.
   std::unique_ptr<CfsfModel> WithRatings(
       std::span<const matrix::RatingTriple> ratings) const;
 
+  /// Cold start: a new model with a brand-new user, id NumUsers(), who
+  /// rated `ratings` — the paper's online enrolment ("CFSF requires him
+  /// or her to rate a certain number of items and then inserts a record
+  /// in the item-user matrix").  The same splice as WithRatings over a
+  /// matrix grown by one row; the newcomer joins their most affine
+  /// cluster by Eq. 9 against this model (on a tie the lowest cluster
+  /// id), and K-means is not re-run.  The result equals Restore(config,
+  /// merged matrix, GlobalItemSimilarity::Build(merged matrix),
+  /// assignments plus that cluster) bit for bit.  `ratings` must be
+  /// non-empty with item ids in range (ConfigError) and finite values
+  /// (DimensionError); a repeated item keeps its last value.
+  std::unique_ptr<CfsfModel> WithNewUser(
+      std::span<const std::pair<matrix::ItemId, matrix::Rating>> ratings) const;
+
   /// WithRatings of one rating, adopted in place; drops stale caches.
+  /// Kept only because bench/perfbench/bench.cpp times it as the traced
+  /// core.insert_ms (tests pin it to WithRatings); new code folds with
+  /// WithRatings instead.
   void InsertRating(matrix::UserId user, matrix::ItemId item,
                     matrix::Rating value, matrix::Timestamp timestamp = 0);
-
-  /// Cold start: registers a brand-new user from their initial ratings —
-  /// the paper's online enrolment ("CFSF requires him or her to rate a
-  /// certain number of items and then inserts a record in the item-user
-  /// matrix").  The user is assigned to their most affine existing
-  /// cluster (Eq. 9), the touched GIS rows are refreshed, and the
-  /// smoothing state is rebuilt; K-means is not re-run.  Returns the new
-  /// user's id.  `ratings` must be non-empty with valid item ids.
-  matrix::UserId AddUser(
-      std::span<const std::pair<matrix::ItemId, matrix::Rating>> ratings);
 
   // Introspection for benches/tests.
   const CfsfConfig& config() const { return config_; }
@@ -164,10 +160,16 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
 
   /// Smoothing and iCluster lists (Eq. 7–9) of train_ under
   /// `assignments`, plus the latest timestamp and an empty neighbour
-  /// cache — the set-up Fit, Restore and AddUser share.
+  /// cache — the set-up Fit and Restore share.
   void BuildClusters(std::span<const std::uint32_t> assignments,
                      std::size_t num_clusters,
                      obs::PhaseProfiler* profiler = nullptr);
+  /// The fold's shared tail: this model's GIS with the rows of the items
+  /// `ratings` touch refreshed against `train` (which holds them), then
+  /// Restore under `assignments`.
+  std::unique_ptr<CfsfModel> Spliced(
+      std::span<const matrix::RatingTriple> ratings, matrix::RatingMatrix train,
+      std::vector<std::uint32_t> assignments) const;
   std::vector<SelectedUser> ComputeTopKUsers(matrix::UserId user) const;
   std::shared_ptr<const std::vector<SelectedUser>> TopKUsersCached(
       matrix::UserId user) const;

@@ -1,6 +1,7 @@
 #include "core/model_io.hpp"
 
 #include <array>
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -71,6 +72,27 @@ std::vector<T> ReadVector(std::istream& in, std::uint64_t sanity_cap) {
     if (!in) throw util::IoError("model file truncated");
   }
   return v;
+}
+
+// WriteVector for rating triples, with RatingTriple's padding (the 4
+// bytes before its 8-byte timestamp) written as zeros: each record is
+// copied field by field into a zeroed image, so that a bundle's bytes
+// depend on the model alone.  ReadVector reads the same layout back.
+void WriteTriples(std::ostream& out,
+                  const std::vector<matrix::RatingTriple>& triples) {
+  using matrix::RatingTriple;
+  WriteU64(out, triples.size());
+  std::string bytes(triples.size() * sizeof(RatingTriple), '\0');
+  char* at = bytes.data();
+  for (const RatingTriple& t : triples) {
+    std::memcpy(at + offsetof(RatingTriple, user), &t.user, sizeof(t.user));
+    std::memcpy(at + offsetof(RatingTriple, item), &t.item, sizeof(t.item));
+    std::memcpy(at + offsetof(RatingTriple, value), &t.value, sizeof(t.value));
+    std::memcpy(at + offsetof(RatingTriple, timestamp), &t.timestamp,
+                sizeof(t.timestamp));
+    at += sizeof(RatingTriple);
+  }
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 // Cap for any single vector in the file (entries, not bytes).
@@ -163,7 +185,7 @@ std::array<std::string, kNumSections> SerializeSections(
     const auto& train = model.train();
     WriteU64(out, train.num_users());
     WriteU64(out, train.num_items());
-    WriteVector(out, train.ToTriples());
+    WriteTriples(out, train.ToTriples());
     sections[1] = std::move(out).str();
   }
   {

@@ -43,8 +43,9 @@ struct CompressedIndex {
   std::vector<Timestamp> stamps;
 };
 
-/// Merges `fresh` into the compressed index (ptr, entries) of `rows` rows
-/// in one linear pass.  `fresh` must be sorted by (major, minor) with one
+/// Merges `fresh` into the compressed index (ptr, entries) in one linear
+/// pass, giving an index of `rows` rows; a row past the end of `ptr`
+/// reads as empty.  `fresh` must be sorted by (major, minor) with one
 /// triple per cell; `major(t)` names the row a triple lands in and
 /// `minor(t)` its index there.  A fresh triple replaces the stored entry
 /// of its cell.  With `with_stamps`, the result carries timestamps
@@ -73,10 +74,13 @@ CompressedIndex MergeIndex(std::size_t rows,
                         stamps.begin() + to);
     }
   };
+  const auto row_start = [&](std::size_t r) {
+    return r < ptr.size() ? ptr[r] : entries.size();
+  };
   std::size_t next = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    std::size_t k = ptr[r];
-    const std::size_t end = ptr[r + 1];
+    std::size_t k = row_start(r);
+    const std::size_t end = row_start(r + 1);
     for (; next < fresh.size() && major(fresh[next]) == r; ++next) {
       const RatingTriple& t = fresh[next];
       const std::uint32_t index = minor(t);
@@ -315,8 +319,14 @@ RatingMatrix RatingMatrix::KeepUserPrefix(std::size_t keep_users) const {
 
 RatingMatrix RatingMatrix::WithRatings(
     std::span<const RatingTriple> ratings) const {
+  return WithRatings(ratings, num_users_);
+}
+
+RatingMatrix RatingMatrix::WithRatings(std::span<const RatingTriple> ratings,
+                                       std::size_t num_users) const {
+  CFSF_REQUIRE(num_users >= num_users_, "WithRatings cannot drop users");
   for (const auto& t : ratings) {
-    CFSF_REQUIRE(t.user < num_users_ && t.item < num_items_,
+    CFSF_REQUIRE(t.user < num_users && t.item < num_items_,
                  "WithRatings ids out of range");
     RequireFinite(t.user, t.item, t.value);
   }
@@ -330,10 +340,10 @@ RatingMatrix RatingMatrix::WithRatings(
       std::any_of(fresh.begin(), fresh.end(),
                   [](const RatingTriple& t) { return t.timestamp != 0; });
   RatingMatrix next;
-  next.num_users_ = num_users_;
+  next.num_users_ = num_users;
   next.num_items_ = num_items_;
   CompressedIndex rows = MergeIndex(
-      num_users_, user_ptr_, user_entries_, user_timestamps_, with_stamps,
+      num_users, user_ptr_, user_entries_, user_timestamps_, with_stamps,
       fresh,
       [](const RatingTriple& t) { return t.user; },
       [](const RatingTriple& t) { return t.item; });

@@ -115,6 +115,14 @@ class RatingMatrix {
   /// value DimensionError.
   RatingMatrix WithRatings(std::span<const RatingTriple> ratings) const;
 
+  /// WithRatings into a result of `num_users` users, at least
+  /// num_users(): the rows past the current count start empty, so
+  /// `ratings` may also hold user ids in [num_users(), num_users).
+  /// Equals a RatingMatrixBuilder(num_users, num_items()) over
+  /// ToTriples() plus `ratings`.
+  RatingMatrix WithRatings(std::span<const RatingTriple> ratings,
+                           std::size_t num_users) const;
+
   /// WithRatings of one rating.  Used by the online protocol, which
   /// "inserts a record in the item-user matrix" for each active user.
   RatingMatrix WithRating(UserId user, ItemId item, Rating value,

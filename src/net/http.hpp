@@ -28,6 +28,10 @@ namespace cfsf::net {
 inline constexpr std::size_t kMaxHeaderBytes = 16 * 1024;
 inline constexpr std::size_t kMaxBodyBytes = 4 * 1024 * 1024;
 
+/// Retry-After value, in seconds, on every retryable refusal: the
+/// service's backpressure statuses and the server's inline busy 503.
+inline constexpr int kRetryAfterSeconds = 1;
+
 struct HttpRequest {
   std::string method;   // uppercase by convention; matched exactly
   std::string target;   // as received, e.g. "/v1/top-n?user=3&n=5"

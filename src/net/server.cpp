@@ -261,7 +261,7 @@ void HttpServer::AcceptLoop() {
       response.status = 503;
       response.body = RenderErrorJson(serve::StatusCode::kShed,
                                       "connection limit reached", "");
-      response.Set("Retry-After", std::to_string(options_.retry_after.count()));
+      response.Set("Retry-After", std::to_string(kRetryAfterSeconds));
       const std::string wire = Serialize(response, /*keep_alive=*/false);
       WriteAll(fd, wire);
       metrics.rejected_busy.Increment();

@@ -79,8 +79,6 @@ struct ServerOptions {
   /// poll() granularity of the accept and connection loops — the
   /// latency bound on noticing Stop().
   std::chrono::milliseconds poll_interval{50};
-  /// Retry-After value on the inline busy rejection.
-  std::chrono::seconds retry_after{1};
 };
 
 class HttpServer {

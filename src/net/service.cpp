@@ -273,7 +273,7 @@ HttpResponse ServingService::Dispatch(const HttpRequest& http,
     response.Set("X-CFSF-Trace-Id", served.trace_id);
   }
   if (serve::IsRetryable(served.code)) {
-    response.Set("Retry-After", std::to_string(options_.retry_after.count()));
+    response.Set("Retry-After", std::to_string(kRetryAfterSeconds));
   }
   return response;
 }

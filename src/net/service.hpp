@@ -28,13 +28,12 @@
 //                       retry carrying the same id returns the original
 //                       record's ack ("deduplicated": true) instead of
 //                       logging a duplicate
-//   Retry-After         attached (seconds) when IsRetryable(code)
+//   Retry-After         attached (kRetryAfterSeconds) when IsRetryable(code)
 //
 // The service is stateless per request and thread-safe: the HttpServer
 // calls Handle() from its worker pool concurrently.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 
 #include "ckpt/checkpoint_manager.hpp"
@@ -52,8 +51,6 @@ struct ServiceOptions {
   std::size_t max_batch = 1024;
   /// Upper bound on the `n` query parameter of /v1/top-n.
   std::size_t max_top_n = 1000;
-  /// Value of the Retry-After header on retryable refusals.
-  std::chrono::seconds retry_after{1};
   /// Optional observability hooks rendered into /healthz; each may be
   /// null (the corresponding section is omitted) and, when set, must
   /// outlive the service.

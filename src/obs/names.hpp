@@ -84,6 +84,7 @@ inline constexpr const char kWalFoldedRecords[] = "wal.folded_records";
 inline constexpr const char kWalFoldSkipped[] = "wal.fold.skipped";
 inline constexpr const char kWalFoldPublishes[] = "wal.fold.publishes";
 inline constexpr const char kWalFoldLatencyUs[] = "wal.fold.latency_us";
+inline constexpr const char kWalFoldFailures[] = "wal.fold.failures";
 inline constexpr const char kWalStalenessUs[] = "wal.staleness_us";
 inline constexpr const char kWalDedupHits[] = "wal.dedup.hits";
 inline constexpr const char kWalDedupEntries[] = "wal.dedup.entries";
@@ -178,6 +179,8 @@ inline constexpr FailPointInfo kFailPoints[] = {
      "`kInternal` result; stack survives"},
     {"serve.swap.load", "`ModelGeneration::LoadAndSwap`",
      "old generation keeps serving"},
+    {"serve.fold", "`DeltaFolder::FoldOnce`, before `WithRatings`",
+     "batch kept and folded first next cycle; watermark stays below it"},
     {"net.accept", "`HttpServer` accept loop",
      "connection dropped; server keeps accepting"},
     {"net.write", "`HttpServer` response write",

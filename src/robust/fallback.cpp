@@ -48,7 +48,7 @@ LadderResult FallbackPredictor::PredictWithLadder(matrix::UserId user,
       LadderMetrics::Get().deadline_overruns.Increment();
       throw DeadlineExceeded("prediction deadline expired before rung 0");
     }
-    return LadderResult{Clamp(model_.PredictFull(user, item)),
+    return LadderResult{Clamp(model_.Predict(user, item)),
                         PredictionRung::kFull, false};
   }
 
@@ -64,7 +64,7 @@ LadderResult FallbackPredictor::PredictWithLadder(matrix::UserId user,
         result.deadline_overrun = true;
       } else {
         try {
-          result.value = Clamp(model_.PredictFull(user, item));
+          result.value = Clamp(model_.Predict(user, item));
           result.rung = PredictionRung::kFull;
           return result;
         } catch (const util::Error&) {
@@ -80,7 +80,7 @@ LadderResult FallbackPredictor::PredictWithLadder(matrix::UserId user,
         }
       } else {
         try {
-          if (const auto sir = model_.PredictDegraded(user, item)) {
+          if (const auto sir = model_.PredictSirOnly(user, item)) {
             if (result.deadline_overrun) metrics.deadline_overruns.Increment();
             metrics.fallback_sir.Increment();
             result.value = Clamp(*sir);
@@ -100,11 +100,11 @@ LadderResult FallbackPredictor::PredictWithLadder(matrix::UserId user,
   // answers.
   if (user < model_.NumUsers() && floor <= PredictionRung::kUserMean) {
     metrics.fallback_user_mean.Increment();
-    result.value = Clamp(model_.UserMeanOf(user));
+    result.value = Clamp(model_.train().UserMean(user));
     result.rung = PredictionRung::kUserMean;
   } else {
     metrics.fallback_global_mean.Increment();
-    result.value = Clamp(model_.GlobalMeanOf());
+    result.value = Clamp(model_.train().GlobalMean());
     result.rung = PredictionRung::kGlobalMean;
   }
   return result;

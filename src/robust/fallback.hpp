@@ -34,7 +34,7 @@
 #include <optional>
 #include <string>
 
-#include "eval/degradable.hpp"
+#include "core/cfsf_model.hpp"
 #include "eval/predictor.hpp"
 #include "matrix/types.hpp"
 #include "util/attrs.hpp"
@@ -42,17 +42,70 @@
 
 namespace cfsf::robust {
 
-// The deadline/rung vocabulary and the DegradableModel interface live in
-// eval/degradable.hpp (one layer down) so core::CfsfModel can implement
-// them without depending on this layer.  Re-exported here so ladder and
-// serving code reads in its own namespace.
-using eval::Deadline;
-using eval::DeadlineExceeded;
-using eval::DegradableModel;
-using eval::DegradationPolicy;
-using eval::LadderResult;
-using eval::PredictionRung;
-using eval::ToString;
+/// Thrown under DegradationPolicy::kThrow when the per-call budget
+/// expires before a prediction was produced.
+class DeadlineExceeded : public util::Error {
+ public:
+  explicit DeadlineExceeded(const std::string& what) : util::Error(what) {}
+};
+
+/// A steady-clock budget for one call.  Default-constructed deadlines are
+/// unlimited; After(0) is already expired.
+class Deadline {
+ public:
+  Deadline() = default;  // unlimited
+
+  static Deadline After(std::chrono::microseconds budget) {
+    Deadline d;
+    d.limited_ = true;
+    d.at_ = std::chrono::steady_clock::now() + budget;
+    return d;
+  }
+
+  bool unlimited() const { return !limited_; }
+
+  bool Expired() const {
+    return limited_ && std::chrono::steady_clock::now() >= at_;
+  }
+
+  /// The tighter of two deadlines — how a batch-level budget combines
+  /// with a per-call one (whichever expires first wins).
+  static Deadline EarlierOf(Deadline a, Deadline b) {
+    if (a.unlimited()) return b;
+    if (b.unlimited()) return a;
+    return a.at_ <= b.at_ ? a : b;
+  }
+
+ private:
+  bool limited_ = false;
+  std::chrono::steady_clock::time_point at_{};
+};
+
+enum class DegradationPolicy {
+  kThrow,     // propagate faults/overruns as exceptions
+  kFallback,  // step down the ladder, always answer
+};
+
+/// Which rung produced the answer.
+enum class PredictionRung { kFull, kSir, kUserMean, kGlobalMean };
+
+inline const char* ToString(PredictionRung rung) {
+  switch (rung) {
+    case PredictionRung::kFull: return "full";
+    case PredictionRung::kSir: return "sir";
+    case PredictionRung::kUserMean: return "user_mean";
+    case PredictionRung::kGlobalMean: return "global_mean";
+  }
+  return "unknown";
+}
+
+struct LadderResult {
+  double value = 0.0;
+  PredictionRung rung = PredictionRung::kFull;
+  /// True when at least one rung was skipped because the deadline had
+  /// expired (also counted in robust.deadline_overruns).
+  bool deadline_overrun = false;
+};
 
 struct FallbackOptions {
   DegradationPolicy policy = DegradationPolicy::kFallback;
@@ -75,15 +128,14 @@ struct FallbackOptions {
 /// instance may serve concurrent callers.
 class FallbackPredictor : public eval::Predictor {
  public:
-  /// `model` must implement both eval::Predictor (Fit forwarding) and
-  /// DegradableModel (the ladder) — core::CfsfModel does.
-  template <typename Model>
-  explicit FallbackPredictor(Model& model, FallbackOptions options = {})
-      : base_(model), model_(model), options_(options) {}
+  /// `model` must outlive the predictor; Fit forwards to it.
+  explicit FallbackPredictor(core::CfsfModel& model,
+                             FallbackOptions options = {})
+      : model_(model), options_(options) {}
 
   std::string Name() const override { return "CFSF+Fallback"; }
 
-  void Fit(const matrix::RatingMatrix& train) override { base_.Fit(train); }
+  void Fit(const matrix::RatingMatrix& train) override { model_.Fit(train); }
 
   /// Ladder prediction under the configured per-call budget.
   double Predict(matrix::UserId user, matrix::ItemId item) const
@@ -123,8 +175,7 @@ class FallbackPredictor : public eval::Predictor {
  private:
   double Clamp(double value) const;
 
-  eval::Predictor& base_;
-  const DegradableModel& model_;
+  core::CfsfModel& model_;
   FallbackOptions options_;
 };
 

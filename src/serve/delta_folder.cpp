@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/failpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/timer.hpp"
@@ -14,10 +15,14 @@ namespace cfsf::serve {
 
 namespace {
 
+// Minimum spacing of the skipped-records warning log line.
+constexpr std::chrono::seconds kSkipWarnInterval{10};
+
 struct FoldMetrics {
   obs::Counter& folded;
   obs::Counter& skipped;
   obs::Counter& publishes;
+  obs::Counter& failures;
   obs::Gauge& staleness_us;
   obs::Histogram& fold_latency_us;
 
@@ -28,6 +33,7 @@ struct FoldMetrics {
           registry.GetCounter(obs::names::kWalFoldedRecords),
           registry.GetCounter(obs::names::kWalFoldSkipped),
           registry.GetCounter(obs::names::kWalFoldPublishes),
+          registry.GetCounter(obs::names::kWalFoldFailures),
           registry.GetGauge(obs::names::kWalStalenessUs),
           registry.GetHistogram(obs::names::kWalFoldLatencyUs,
                                 obs::LatencyBucketsUs()),
@@ -62,35 +68,44 @@ std::uint64_t DeltaFolder::PublishNow() {
 }
 
 std::size_t DeltaFolder::FoldOnce() {
-  std::vector<wal::AckedRecord> batch;
-  log_.DrainAcked(&batch);
-  if (batch.empty()) return 0;
-
   FoldMetrics& metrics = FoldMetrics::Instance();
   std::vector<matrix::RatingTriple> ratings;
-  ratings.reserve(batch.size());
   std::shared_ptr<core::CfsfModel> published;
+  std::size_t drained = 0;
   std::size_t skipped = 0;
   std::uint64_t skipped_total = 0;
   bool warn_skipped = false;
-  auto oldest_ack = batch.front().acked_at;
+  std::chrono::steady_clock::time_point oldest_ack;
   {
     util::MutexLock lock(&mutex_);
-    for (const wal::AckedRecord& acked : batch) {
+    // Drained under the lock, behind what a failed fold left: every batch
+    // is in lsn order, so a re-rated cell keeps its later rating.
+    log_.DrainAcked(&unfolded_);
+    if (unfolded_.empty()) return 0;
+    oldest_ack = unfolded_.front().acked_at;
+    ratings.reserve(unfolded_.size());
+    for (const wal::AckedRecord& acked : unfolded_) {
       oldest_ack = std::min(oldest_ack, acked.acked_at);
       const matrix::RatingTriple& r = acked.record;
       if (r.user < model_->NumUsers() && r.item < model_->NumItems()) {
         ratings.push_back(r);
       } else {
-        // Out-of-range ids are durable but not foldable; cold-start
-        // enrolment (CfsfModel::AddUser) is a separate path.
+        // Out-of-range ids are durable but not foldable: a fold never
+        // enrols (CfsfModel::WithNewUser is a separate path).
         ++skipped;
       }
     }
     if (!ratings.empty()) {
-      // Drained in lsn order, so a re-rated cell keeps its later rating.
-      obs::ScopedTimer fold_timer(metrics.fold_latency_us);
-      model_ = model_->WithRatings(ratings);
+      try {
+        CFSF_FAILPOINT("serve.fold");
+        obs::ScopedTimer fold_timer(metrics.fold_latency_us);
+        model_ = model_->WithRatings(ratings);
+      } catch (...) {
+        // The batch stays in unfolded_ and the watermark below it, so
+        // the next cycle folds it first and no checkpoint can pass it.
+        metrics.failures.Increment();
+        throw;
+      }
       published = model_;
       ++publishes_;
     }
@@ -99,11 +114,13 @@ std::size_t DeltaFolder::FoldOnce() {
     // Drained is drained: a skipped record is permanently unfoldable
     // against this model, so the watermark advances over it — the
     // backlog is surfaced below, not replayed forever.
-    watermark_ = std::max(watermark_, batch.back().lsn);
+    watermark_ = std::max(watermark_, unfolded_.back().lsn);
+    drained = unfolded_.size();
+    unfolded_.clear();
     if (skipped > 0) {
       const auto now = std::chrono::steady_clock::now();
       if (last_skip_warn_.time_since_epoch().count() == 0 ||
-          now - last_skip_warn_ >= options_.skip_warn_interval) {
+          now - last_skip_warn_ >= kSkipWarnInterval) {
         last_skip_warn_ = now;
         warn_skipped = true;
         skipped_total = skipped_;
@@ -127,7 +144,7 @@ std::size_t DeltaFolder::FoldOnce() {
                                  std::chrono::steady_clock::now() - oldest_ack)
                                  .count());
   }
-  return batch.size();
+  return drained;
 }
 
 void DeltaFolder::Start() {
@@ -161,9 +178,10 @@ void DeltaFolder::Loop() {
       FoldOnce();
     } catch (const util::Error&) {
       // A fold failure (e.g. an injected fault inside WithRatings) must
-      // not kill the thread; the model is untouched, and the records of
-      // this batch are lost to the fold but remain in the log for the
-      // next boot's replay.
+      // not kill the thread.  The model is untouched, and the failed
+      // batch stays in the folder, which folds it first next cycle;
+      // until then the watermark stays below it, so no checkpoint
+      // covers it.
     }
     util::SleepFor(options_.poll_interval);
   }

@@ -15,16 +15,26 @@
 // the wal.staleness_us gauge to the oldest drained record's ack-to-
 // publish latency.  wal.fold.latency_us times each fold's WithRatings
 // call.  wal.folded_records / wal.fold.skipped /
-// wal.fold.publishes count the traffic (skipped = user or item outside
-// the model's dimensions; enrolment is AddUser's job, not the
-// folder's).  Skipped records are surfaced, not silent: /healthz
-// reports the backlog and the folder logs a rate-limited warning, so an
-// out-of-matrix flood is an operator signal rather than a quiet metric.
+// wal.fold.publishes / wal.fold.failures count the traffic (skipped =
+// user or item outside the model's dimensions).  The fold never enrols:
+// a new user's cluster depends on the model it joins, so enrolling
+// inside a batch would make the result depend on how the records were
+// batched, and recovery, which folds the WAL suffix as one batch, would
+// no longer match the live folds.  Enrolment is
+// CfsfModel::WithNewUser's job.  Skipped records are surfaced, not
+// silent: /healthz reports the backlog and the folder logs a
+// rate-limited warning, so an out-of-matrix flood is an operator signal
+// rather than a quiet metric.
+//
+// A fold that throws (serve.fold, or a fault inside WithRatings) keeps
+// its batch: the next cycle folds it first, ahead of the records
+// drained since.
 //
 // The folder is also the checkpoint subsystem's snapshot source: it
 // tracks the fold watermark — the highest WAL lsn drained into the
 // model (folded *or* skipped; a skipped record is permanently
-// unfoldable, so replaying it after a restart changes nothing) — and
+// unfoldable, so replaying it after a restart changes nothing; a record
+// of a failed fold is neither, so the watermark stays below it) — and
 // Snapshot() returns {last published model, watermark} under one lock,
 // the consistent pair ckpt::CheckpointManager persists.  It is not
 // ModelGeneration::Active(): a bundle swapped in by LoadAndSwap holds
@@ -53,8 +63,6 @@ struct DeltaFolderOptions {
   /// checkpoint watermark recovery restored from, so the fold watermark
   /// never moves backwards across a restart.
   std::uint64_t initial_watermark = 0;
-  /// Minimum spacing of the skipped-records warning log line.
-  std::chrono::seconds skip_warn_interval{10};
 };
 
 /// A consistent {model, watermark} pair: every WAL record with
@@ -84,7 +92,9 @@ class DeltaFolder {
   std::uint64_t PublishNow() CFSF_EXCLUDES(mutex_);
 
   /// One synchronous drain → fold → publish cycle; returns how many
-  /// records were drained.  Publishes only when something folded.
+  /// records it folded or skipped, a failed fold's batch included.
+  /// Publishes only when something folded.  Rethrows a fold failure,
+  /// keeping the batch for the next cycle.
   std::size_t FoldOnce() CFSF_EXCLUDES(mutex_);
 
   void Start() CFSF_EXCLUDES(mutex_);
@@ -111,6 +121,9 @@ class DeltaFolder {
   /// The last published model (or the constructor's, before the first
   /// fold).  Never mutated: each fold replaces the pointer.
   std::shared_ptr<core::CfsfModel> model_ CFSF_GUARDED_BY(mutex_);
+  /// Drained records the fold has neither folded nor skipped, in lsn
+  /// order: empty between cycles unless the last fold failed.
+  std::vector<wal::AckedRecord> unfolded_ CFSF_GUARDED_BY(mutex_);
   std::uint64_t folded_ CFSF_GUARDED_BY(mutex_) = 0;
   std::uint64_t skipped_ CFSF_GUARDED_BY(mutex_) = 0;
   std::uint64_t publishes_ CFSF_GUARDED_BY(mutex_) = 0;

@@ -192,12 +192,7 @@ Response ServingStack::ServeSync(const Request& request) {
   if (admission.degraded) metrics.degraded_admissions.Increment(weight);
 
   const Slot slot(*this);
-  if (!request.deadline.unlimited() || options_.default_budget.count() <= 0) {
-    return Process(request, admission.degraded);
-  }
-  Request budgeted = request;
-  budgeted.deadline = robust::Deadline::After(options_.default_budget);
-  return Process(budgeted, admission.degraded);
+  return Process(request, admission.degraded);
 }
 
 Response ServingStack::Process(const Request& request,

@@ -63,7 +63,6 @@
 // plus everything the lower layers define.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <string>
@@ -103,9 +102,6 @@ struct ServingOptions {
   /// Ladder tier (1=SIR′, 2=user mean, 3=global mean) forced on
   /// requests admitted above the watermark under kDegrade.
   std::size_t watermark_level = 2;
-  /// Default per-request budget when the caller passes no deadline;
-  /// zero = unlimited.
-  std::chrono::microseconds default_budget{0};
   CircuitBreakerOptions breaker;
   /// Durable rating log behind Request::Rate; must outlive the stack.
   /// nullptr = no ingestion: rate requests resolve kUnavailable.
@@ -124,8 +120,7 @@ class ServingStack {
 
   /// Serves one request of any kind on the calling thread: validate,
   /// admit, process, release the slot, return.  Refused requests
-  /// (shed/rejected/malformed) return at once.  A Request without a
-  /// deadline picks up options().default_budget.
+  /// (shed/rejected/malformed) return at once.
   Response ServeSync(const Request& request)
       CFSF_HOT_PATH CFSF_EXCLUDES(mutex_);
 

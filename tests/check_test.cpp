@@ -221,10 +221,10 @@ TEST(ModelValidate, SweepsPassAfterIncrementalUpdates) {
   model.InsertRating(2, 3, 5.0F);
   const std::vector<std::pair<matrix::ItemId, matrix::Rating>> ratings = {
       {1, 4.0F}, {5, 3.0F}, {9, 5.0F}};
-  model.AddUser(ratings);
-  EXPECT_NO_THROW(model.train().DebugValidate());
-  EXPECT_NO_THROW(model.gis().DebugValidate());
-  EXPECT_NO_THROW(model.cluster_model().DebugValidate(model.train()));
+  const auto enrolled = model.WithNewUser(ratings);
+  EXPECT_NO_THROW(enrolled->train().DebugValidate());
+  EXPECT_NO_THROW(enrolled->gis().DebugValidate());
+  EXPECT_NO_THROW(enrolled->cluster_model().DebugValidate(enrolled->train()));
 }
 
 }  // namespace

@@ -15,7 +15,8 @@
 //   * armed failpoints: "ckpt.write" and "ckpt.manifest" abort a
 //     checkpoint without ever referencing it; "wal.compact" fail-stops
 //     compaction while checkpoints keep working and the log stays
-//     intact.
+//     intact; "serve.fold" fails a fold, whose records the next fold
+//     and checkpoint still carry.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -37,6 +38,8 @@
 #include "data/synthetic.hpp"
 #include "matrix/types.hpp"
 #include "obs/failpoint.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "serve/delta_folder.hpp"
 #include "serve/model_generation.hpp"
 #include "util/error.hpp"
@@ -519,6 +522,51 @@ TEST_F(CkptCrashTest, ManifestFaultNeverReferencesTheOrphanBundle) {
   pipeline.Ingest(6);
   EXPECT_GT(pipeline.manager->CheckpointNow(), 2u);
   EXPECT_FALSE(fs::exists(orphan)) << "orphan bundle was never GC'd";
+}
+
+TEST_F(CkptCrashTest, FailedFoldLosesNoRecordOnceALaterFoldIsCheckpointed) {
+  // A fold that throws keeps its batch: the next fold applies it first,
+  // and the watermark never passes it, so a checkpoint taken after that
+  // fold, and a recovery from it, still hold every acked record.
+  const auto failures = [] {
+    return obs::MetricsRegistry::Global().GetCounter(obs::names::kWalFoldFailures).Value();
+  };
+  {
+    wal::WriteAheadLog log(wal_dir_);
+    serve::ModelGeneration models;
+    serve::DeltaFolder folder(log, models, TinySeed());
+    ckpt::CheckpointOptions options;
+    options.dir = ckpt_dir_;
+    ckpt::CheckpointManager manager(folder, log, options);
+    for (std::uint64_t lsn = 1; lsn <= 3; ++lsn) {
+      log.Append(RecordForLsn(lsn), /*require_durable=*/true);
+    }
+    const std::uint64_t failures_before = failures();
+    {
+      ScopedFailPoint fp("serve.fold", "once");
+      EXPECT_THROW(folder.FoldOnce(), obs::InjectedFault);
+    }
+    EXPECT_EQ(failures(), failures_before + 1);
+    EXPECT_EQ(folder.fold_watermark(), 0u);
+    EXPECT_EQ(folder.folded_records(), 0u);
+    EXPECT_EQ(folder.publishes(), 0u);
+
+    log.Append(RecordForLsn(4), /*require_durable=*/true);
+    EXPECT_EQ(folder.FoldOnce(), 4u);
+    EXPECT_EQ(folder.fold_watermark(), 4u);
+    EXPECT_EQ(folder.folded_records(), 4u);
+    ExpectFoldedUpTo(*folder.Snapshot().model, 4);
+    EXPECT_EQ(manager.CheckpointNow(), 1u);
+  }
+  ckpt::RecoverOptions options;
+  options.ckpt_dir = ckpt_dir_;
+  options.wal_dir = wal_dir_;
+  options.seed_model = TinySeed;
+  const ckpt::RecoveryResult result = ckpt::Recover(options);
+  EXPECT_EQ(result.info.source, "checkpoint");
+  EXPECT_EQ(result.info.watermark, 4u);
+  EXPECT_EQ(result.info.replayed_records, 0u);
+  ExpectFoldedUpTo(*result.model, 4);
 }
 
 TEST_F(CkptCrashTest, CompactFaultFailStopsCompactionButNotCheckpoints) {

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "core/cfsf.hpp"
@@ -814,11 +816,26 @@ void ExpectSameModel(const CfsfModel& got, const CfsfModel& want) {
           << "column of cluster " << c << ", item " << i;
     }
   }
-  for (matrix::UserId u = 0; u < want.NumUsers(); ++u) {
-    for (matrix::ItemId i = 0; i < want.NumItems(); ++i) {
-      ASSERT_EQ(got.Predict(u, i), want.Predict(u, i)) << "user " << u << ", item " << i;
-    }
+  // Every Predict, bit for bit.  The users are split over four threads,
+  // because the paper-scale matrix has half a million cells.
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::string> mismatch(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t u = t; u < want.NumUsers() && mismatch[t].empty(); u += kThreads) {
+        const auto user = static_cast<matrix::UserId>(u);
+        for (matrix::ItemId i = 0; i < want.NumItems(); ++i) {
+          if (got.Predict(user, i) != want.Predict(user, i)) {
+            mismatch[t] = "user " + std::to_string(u) + ", item " + std::to_string(i);
+            break;
+          }
+        }
+      }
+    });
   }
+  for (auto& thread : threads) thread.join();
+  for (const auto& cell : mismatch) ASSERT_EQ(cell, "") << "Predict differs";
 }
 
 TEST(Incremental, FoldEqualsRefit) {
@@ -842,6 +859,119 @@ TEST(Incremental, FoldEqualsRefit) {
       ExpectSameModel(*folded, *refit);
     }
   }
+}
+
+// The enrolment reference, written out: the builder over every stored
+// rating plus the newcomer's, the GIS built from scratch, and Restore
+// under the old assignments plus the newcomer's Eq. 9 argmax against
+// `model`'s clusters (the lowest cluster id on a tie).
+std::unique_ptr<CfsfModel> ReferenceEnrolment(
+    const CfsfModel& model,
+    std::span<const std::pair<matrix::ItemId, matrix::Rating>> ratings) {
+  const auto user = static_cast<matrix::UserId>(model.NumUsers());
+  matrix::RatingMatrixBuilder builder(model.NumUsers() + 1, model.NumItems());
+  for (const auto& t : model.train().ToTriples()) builder.Add(t);
+  for (const auto& [item, value] : ratings) builder.Add(user, item, value);
+  matrix::RatingMatrix train = builder.Build();
+  const auto& clusters = model.cluster_model();
+  const auto affinity = [&](std::uint32_t c) {
+    return clusters.AffinityOf(train.UserRow(user), train.UserMean(user), c);
+  };
+  std::uint32_t best = 0;
+  for (std::uint32_t c = 1; c < clusters.num_clusters(); ++c) {
+    if (affinity(c) > affinity(best)) best = c;
+  }
+  std::vector<std::uint32_t> assignments = clusters.assignments();
+  assignments.push_back(best);
+  auto gis = sim::GlobalItemSimilarity::Build(train, model.config().gis);
+  return CfsfModel::Restore(model.config(), std::move(train), std::move(gis),
+                            std::move(assignments));
+}
+
+// Newcomer profiles: the cfsf_cli example; one rating, whose zero
+// deviation ties every cluster at affinity 0; a repeated item; and a
+// copy of the first member of each cluster but 0.
+std::vector<std::vector<std::pair<matrix::ItemId, matrix::Rating>>> Newcomers(
+    const CfsfModel& model) {
+  std::vector<std::vector<std::pair<matrix::ItemId, matrix::Rating>>> profiles{
+      {{0, 5.0F}, {3, 4.0F}, {7, 1.0F}}, {{5, 4.0F}}, {{2, 1.0F}, {9, 5.0F}, {2, 4.0F}}};
+  const auto& clusters = model.cluster_model();
+  for (std::uint32_t c = 1; c < clusters.num_clusters(); ++c) {
+    auto& profile = profiles.emplace_back();
+    for (const auto& e : model.train().UserRow(clusters.Members(c).front())) {
+      profile.emplace_back(e.index, e.value);
+    }
+  }
+  return profiles;
+}
+
+// Enrols each of the first `max_profiles` newcomers and compares the
+// result with the reference; `joined` collects the clusters they joined.
+void ExpectEnrolmentEqualsRefit(const CfsfModel& model, std::size_t max_profiles,
+                                std::set<std::uint32_t>* joined) {
+  const auto newcomer = static_cast<matrix::UserId>(model.NumUsers());
+  const auto profiles = Newcomers(model);
+  for (std::size_t p = 0; p < profiles.size() && p < max_profiles; ++p) {
+    SCOPED_TRACE(::testing::Message() << "newcomer profile " << p);
+    const std::unique_ptr<CfsfModel> enrolled = model.WithNewUser(profiles[p]);
+    const std::unique_ptr<CfsfModel> refit = ReferenceEnrolment(model, profiles[p]);
+    ASSERT_EQ(enrolled->NumUsers(), model.NumUsers() + 1);
+    ASSERT_EQ(enrolled->cluster_model().assignments(), refit->cluster_model().assignments());
+    ExpectSameModel(*enrolled, *refit);
+    if (::testing::Test::HasFatalFailure()) return;
+    joined->insert(enrolled->cluster_model().ClusterOf(newcomer));
+  }
+}
+
+TEST(Incremental, EnrolmentEqualsRefit) {
+  // WithNewUser is the fold's splice over a matrix grown by one row, so
+  // it equals a refit under the old assignments plus the newcomer's
+  // Eq. 9 cluster, bit for bit.
+  const auto split = SmallSplit();
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "parallel " << parallel);
+    CfsfConfig config = SmallConfig();
+    config.parallel = parallel;
+    CfsfModel model(config);
+    model.Fit(split.train);
+    std::set<std::uint32_t> joined;
+    ExpectEnrolmentEqualsRefit(model, std::numeric_limits<std::size_t>::max(), &joined);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(joined.size(), 1U) << "every newcomer joined one cluster";
+  }
+  {
+    // Six users in three clusters, where the newcomer's Eq. 9 cluster
+    // against the model joined (1) is not the argmax against the model
+    // made (2, whose fallback deviations the newcomer's own ratings
+    // move): assigning against post-merge deviations must fail here.
+    SCOPED_TRACE("hand-built model");
+    matrix::RatingMatrixBuilder builder(6, 4);
+    for (const matrix::RatingTriple& t : std::vector<matrix::RatingTriple>{
+             {0, 0, 3, 0}, {0, 1, 3, 0}, {0, 3, 3, 0}, {1, 1, 2, 0}, {1, 2, 2, 0},
+             {1, 3, 2, 0}, {2, 1, 1, 0}, {2, 3, 4, 0}, {3, 1, 4, 0}, {3, 3, 4, 0},
+             {4, 0, 2, 0}, {4, 3, 1, 0}, {5, 2, 2, 0}, {5, 3, 1, 0}}) {
+      builder.Add(t);
+    }
+    matrix::RatingMatrix train = builder.Build();
+    CfsfConfig config;
+    config.num_clusters = 3;
+    config.top_m_items = 3;
+    config.top_k_users = 2;
+    auto gis = sim::GlobalItemSimilarity::Build(train, config.gis);
+    const std::unique_ptr<CfsfModel> model = CfsfModel::Restore(
+        config, std::move(train), std::move(gis), {0, 1, 2, 1, 1, 1});
+    const std::vector<std::pair<matrix::ItemId, matrix::Rating>> newcomer{{0, 4.0F},
+                                                                         {2, 1.0F}};
+    const std::unique_ptr<CfsfModel> enrolled = model->WithNewUser(newcomer);
+    ASSERT_EQ(enrolled->cluster_model().ClusterOf(6), 1U);
+    ExpectSameModel(*enrolled, *ReferenceEnrolment(*model, newcomer));
+    if (HasFatalFailure()) return;
+  }
+  SCOPED_TRACE("paper scale, default config");
+  CfsfModel model;
+  model.Fit(data::GenerateSynthetic({}));
+  std::set<std::uint32_t> joined;
+  ExpectEnrolmentEqualsRefit(model, 1, &joined);
 }
 
 // ---------------------------------------------------------- time decay ----

@@ -19,6 +19,7 @@
 #include "util/rng.hpp"
 
 #include <fstream>
+#include <limits>
 #include <map>
 
 namespace cfsf {
@@ -329,7 +330,7 @@ TEST(ModelIo, TruncatedFileRejected) {
 
 // ------------------------------------------------------------ cold start ----
 
-TEST(AddUser, RegistersAndPredicts) {
+TEST(WithNewUser, RegistersAndPredicts) {
   const auto split = SmallSplit();
   core::CfsfModel model(SmallConfig());
   model.Fit(split.train);
@@ -337,63 +338,82 @@ TEST(AddUser, RegistersAndPredicts) {
 
   const std::vector<std::pair<matrix::ItemId, matrix::Rating>> ratings{
       {0, 5.0F}, {3, 4.0F}, {7, 1.0F}};
-  const auto id = model.AddUser(ratings);
+  const auto enrolled = model.WithNewUser(ratings);
+  const auto id = static_cast<matrix::UserId>(enrolled->NumUsers() - 1);
   EXPECT_EQ(id, before);
-  EXPECT_EQ(model.train().num_users(), before + 1);
-  EXPECT_FLOAT_EQ(*model.train().GetRating(id, 3), 4.0F);
+  EXPECT_EQ(enrolled->train().num_users(), before + 1);
+  EXPECT_EQ(model.train().num_users(), before) << "WithNewUser mutated its source";
+  EXPECT_FLOAT_EQ(*enrolled->train().GetRating(id, 3), 4.0F);
 
-  const double v = model.Predict(id, 20);
+  const double v = enrolled->Predict(id, 20);
   EXPECT_TRUE(std::isfinite(v));
-  const auto recs = model.RecommendTopN(id, 5);
+  const auto recs = enrolled->RecommendTopN(id, 5);
   EXPECT_EQ(recs.size(), 5u);
   for (const auto& rec : recs) {
-    EXPECT_FALSE(model.train().HasRating(id, rec.item));
+    EXPECT_FALSE(enrolled->train().HasRating(id, rec.item));
   }
 }
 
-TEST(AddUser, JoinsTheMostAffineCluster) {
+TEST(WithNewUser, JoinsTheMostAffineCluster) {
   const auto split = SmallSplit();
   core::CfsfModel model(SmallConfig());
   model.Fit(split.train);
   // Clone an existing heavy user's ratings: the newcomer should land in a
   // cluster whose deviations correlate with that profile at least as well
-  // as every other cluster (ties possible, so compare affinities).
+  // as every other cluster (ties possible, so compare affinities) — under
+  // the model it joined (the rule) and under the model it made.
   const matrix::UserId donor = 0;
   std::vector<std::pair<matrix::ItemId, matrix::Rating>> ratings;
   for (const auto& e : model.train().UserRow(donor)) {
     ratings.emplace_back(e.index, e.value);
   }
-  const auto id = model.AddUser(ratings);
-  const auto& cm = model.cluster_model();
-  const auto row = model.train().UserRow(id);
-  const double mean = model.train().UserMean(id);
-  const double own = cm.AffinityOf(row, mean, cm.ClusterOf(id));
-  for (std::size_t c = 0; c < cm.num_clusters(); ++c) {
-    EXPECT_GE(own + 1e-9, cm.AffinityOf(row, mean, static_cast<std::uint32_t>(c)));
+  const auto enrolled = model.WithNewUser(ratings);
+  const auto id = static_cast<matrix::UserId>(model.NumUsers());
+  const auto row = enrolled->train().UserRow(id);
+  const double mean = enrolled->train().UserMean(id);
+  for (const auto* cm : {&model.cluster_model(), &enrolled->cluster_model()}) {
+    const double own = cm->AffinityOf(row, mean, enrolled->cluster_model().ClusterOf(id));
+    for (std::size_t c = 0; c < cm->num_clusters(); ++c) {
+      EXPECT_GE(own + 1e-9, cm->AffinityOf(row, mean, static_cast<std::uint32_t>(c)));
+    }
   }
 }
 
-TEST(AddUser, ValidatesInput) {
+TEST(WithNewUser, ValidatesInput) {
   const auto split = SmallSplit();
   core::CfsfModel model(SmallConfig());
   model.Fit(split.train);
-  EXPECT_THROW(model.AddUser({}), util::ConfigError);
+  EXPECT_THROW(model.WithNewUser({}), util::ConfigError);
   const std::vector<std::pair<matrix::ItemId, matrix::Rating>> bad{{100000, 3.0F}};
-  EXPECT_THROW(model.AddUser(bad), util::ConfigError);
+  EXPECT_THROW(model.WithNewUser(bad), util::ConfigError);
+  const std::vector<std::pair<matrix::ItemId, matrix::Rating>> nan{
+      {1, 3.0F}, {2, std::numeric_limits<matrix::Rating>::quiet_NaN()}};
+  EXPECT_THROW(model.WithNewUser(nan), util::DimensionError);
+  core::CfsfModel unfitted(SmallConfig());
+  const std::vector<std::pair<matrix::ItemId, matrix::Rating>> one{{1, 3.0F}};
+  EXPECT_THROW(unfitted.WithNewUser(one), util::ConfigError);
+
+  // A repeated item keeps its last value.
+  const std::vector<std::pair<matrix::ItemId, matrix::Rating>> repeated{
+      {4, 1.0F}, {6, 2.0F}, {4, 5.0F}};
+  const auto enrolled = model.WithNewUser(repeated);
+  const auto id = static_cast<matrix::UserId>(model.NumUsers());
+  EXPECT_EQ(enrolled->train().UserRatingCount(id), 2u);
+  EXPECT_FLOAT_EQ(*enrolled->train().GetRating(id, 4), 5.0F);
 }
 
-TEST(AddUser, GisStaysConsistentWithRebuild) {
+TEST(WithNewUser, GisStaysConsistentWithRebuild) {
   const auto split = SmallSplit();
   core::CfsfModel model(SmallConfig());
   model.Fit(split.train);
   const std::vector<std::pair<matrix::ItemId, matrix::Rating>> ratings{
       {2, 5.0F}, {9, 2.0F}};
-  model.AddUser(ratings);
+  const auto enrolled = model.WithNewUser(ratings);
 
   core::CfsfModel rebuilt(SmallConfig());
-  rebuilt.Fit(model.train());
+  rebuilt.Fit(enrolled->train());
   for (const matrix::ItemId item : {2u, 9u}) {
-    const auto a = model.gis().Neighbors(item);
+    const auto a = enrolled->gis().Neighbors(item);
     const auto b = rebuilt.gis().Neighbors(item);
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "GIS row " << item;
   }

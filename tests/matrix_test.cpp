@@ -278,12 +278,18 @@ std::vector<RatingTriple> SpliceBatch(const RatingMatrix& m, std::size_t size,
   return batch;
 }
 
-// The fold's reference: the builder over every stored rating plus the batch.
-RatingMatrix Rebuilt(const RatingMatrix& m, std::span<const RatingTriple> batch) {
-  RatingMatrixBuilder b(m.num_users(), m.num_items());
+// The fold's reference: the builder of `num_users` rows over every stored
+// rating plus the batch.
+RatingMatrix Rebuilt(const RatingMatrix& m, std::span<const RatingTriple> batch,
+                     std::size_t num_users) {
+  RatingMatrixBuilder b(num_users, m.num_items());
   for (const auto& t : m.ToTriples()) b.Add(t);
   for (const auto& t : batch) b.Add(t);
   return b.Build();
+}
+
+RatingMatrix Rebuilt(const RatingMatrix& m, std::span<const RatingTriple> batch) {
+  return Rebuilt(m, batch, m.num_users());
 }
 
 void ExpectSameMatrix(const RatingMatrix& got, const RatingMatrix& want) {
@@ -369,6 +375,37 @@ TEST(MatrixSplice, EmptyBatchOnAnEmptyMatrix) {
   const RatingMatrix empty;
   ExpectSameMatrix(empty.WithRatings({}), Rebuilt(empty, {}));
   EXPECT_NO_THROW(empty.WithRatings({}).DebugValidate());
+}
+
+TEST(MatrixSplice, GrowsOneRowForANewUserLikeTheBuilder) {
+  // Enrolment's splice: the result has one more row, which starts empty.
+  // The batch rates into it (an empty column, a repeated item) and
+  // overwrites a stored cell of an existing user.
+  for (const Stamps base_stamps : {Stamps::kZero, Stamps::kNonzero}) {
+    const RatingMatrix m = SpliceBase(base_stamps);
+    for (const Stamps stamps : {Stamps::kZero, Stamps::kNonzero}) {
+      SCOPED_TRACE(::testing::Message() << "base stamps " << static_cast<int>(base_stamps)
+                                        << ", batch stamps " << static_cast<int>(stamps));
+      util::Rng rng(11);
+      std::vector<RatingTriple> batch;
+      for (const ItemId item : {3U, 0U, 17U, 3U}) {
+        batch.push_back({30, item, static_cast<Rating>(1 + rng.NextBounded(5)),
+                         DrawStamp(stamps, rng)});
+      }
+      const RatingTriple stored = m.ToTriples().front();
+      batch.push_back({stored.user, stored.item, stored.value == 5.0F ? 1.0F : 5.0F,
+                       DrawStamp(stamps, rng)});
+      const RatingMatrix grown = m.WithRatings(batch, 31);
+      ExpectSameMatrix(grown, Rebuilt(m, batch, 31));
+      EXPECT_NO_THROW(grown.DebugValidate());
+      EXPECT_EQ(grown.UserRatingCount(30), 3U);
+      EXPECT_EQ(*grown.GetRating(30, 3), batch[3].value) << "a repeat keeps the last value";
+    }
+    ExpectSameMatrix(m.WithRatings({}, 31), Rebuilt(m, {}, 31));
+    const std::vector<RatingTriple> past{{31, 1, 3.0F, 0}};
+    EXPECT_THROW(m.WithRatings(past, 31), util::ConfigError);
+    EXPECT_THROW(m.WithRatings({}, 29), util::ConfigError);
+  }
 }
 
 TEST(MatrixSplice, RejectsNonFiniteRatings) {

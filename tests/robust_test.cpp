@@ -244,7 +244,7 @@ TEST_F(LadderTest, FallsBackToUserMeanWhenSirFaultsToo) {
       predictor.PredictWithLadder(3, 7, robust::Deadline());
   EXPECT_EQ(result.rung, robust::PredictionRung::kUserMean);
   EXPECT_DOUBLE_EQ(result.value,
-                   std::clamp(Model().UserMeanOf(3), 1.0, 5.0));
+                   std::clamp(Model().train().UserMean(3), 1.0, 5.0));
 }
 
 TEST_F(LadderTest, OutOfRangeUserLandsOnGlobalMean) {
@@ -255,7 +255,7 @@ TEST_F(LadderTest, OutOfRangeUserLandsOnGlobalMean) {
       predictor.PredictWithLadder(user, 0, robust::Deadline());
   EXPECT_EQ(result.rung, robust::PredictionRung::kGlobalMean);
   EXPECT_DOUBLE_EQ(result.value,
-                   std::clamp(Model().GlobalMeanOf(), 1.0, 5.0));
+                   std::clamp(Model().train().GlobalMean(), 1.0, 5.0));
 }
 
 TEST_F(LadderTest, ExpiredDeadlineSkipsExpensiveRungs) {
@@ -379,12 +379,12 @@ TEST_F(LadderTest, FloorRungPinsDegradedTiers) {
       0, 0, robust::Deadline(), robust::PredictionRung::kUserMean);
   EXPECT_EQ(mean_floor.rung, robust::PredictionRung::kUserMean);
   EXPECT_DOUBLE_EQ(mean_floor.value,
-                   std::clamp(Model().UserMeanOf(0), 1.0, 5.0));
+                   std::clamp(Model().train().UserMean(0), 1.0, 5.0));
   const auto global_floor = predictor.PredictWithLadder(
       0, 0, robust::Deadline(), robust::PredictionRung::kGlobalMean);
   EXPECT_EQ(global_floor.rung, robust::PredictionRung::kGlobalMean);
   EXPECT_DOUBLE_EQ(global_floor.value,
-                   std::clamp(Model().GlobalMeanOf(), 1.0, 5.0));
+                   std::clamp(Model().train().GlobalMean(), 1.0, 5.0));
 }
 
 TEST_F(LadderTest, PredictBatchIsTotalUnderProbFaults) {

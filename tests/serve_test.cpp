@@ -647,7 +647,7 @@ TEST_F(ServeTest, DeltaFolderFoldsAckedRatingsIntoANewGeneration) {
   ServingStack stack(models, options);
   ASSERT_EQ(stack.ServeSync(Request::Rate(2, 5, 5.0F)).code, StatusCode::kOk);
   // One in-range record folds and publishes; an out-of-range user is
-  // durable but skipped (enrolment is AddUser's job).
+  // durable but skipped (a fold never enrols; CfsfModel::WithNewUser does).
   ASSERT_EQ(stack.ServeSync(Request::Rate(100000, 5, 5.0F)).code,
             StatusCode::kOk);
   EXPECT_EQ(folder.FoldOnce(), 2u);

@@ -8,6 +8,9 @@
 //   cfsf_cli recommend --model=model.bin --user=U [--n=10]
 //   cfsf_cli add-user  --model=model.bin --ratings=ITEM:R,ITEM:R,...
 //                      [--save=model2.bin] [--n=10]
+//                      (enrols a new user, id = the model's user count,
+//                      in their most affine cluster; prints the id, the
+//                      cluster and the top-n; --save writes the new model)
 //   cfsf_cli evaluate  --data=u.data [--train=300 --given=10]
 //   cfsf_cli verify-model --model=model.bin
 //   cfsf_cli json-check --file=out.json
@@ -219,7 +222,7 @@ std::vector<std::pair<matrix::ItemId, matrix::Rating>> ParseRatings(
   return ratings;
 }
 
-int CmdAddUser(util::ArgParser& args) {
+int CmdEnrolUser(util::ArgParser& args) {
   const std::string model_path = args.GetString("model", "model.bin");
   const std::string spec = args.GetString("ratings", "");
   const std::string save_path = args.GetString("save", "");
@@ -229,8 +232,8 @@ int CmdAddUser(util::ArgParser& args) {
     std::fprintf(stderr, "add-user requires --ratings=ITEM:R,ITEM:R,...\n");
     return 2;
   }
-  const auto model = core::LoadModel(model_path);
-  const auto user = model->AddUser(ParseRatings(spec));
+  const auto model = core::LoadModel(model_path)->WithNewUser(ParseRatings(spec));
+  const auto user = static_cast<matrix::UserId>(model->NumUsers() - 1);
   std::printf("registered user %u (cluster %u)\n", user,
               model->cluster_model().ClusterOf(user));
   for (const auto& rec : model->RecommendTopN(user, n)) {
@@ -758,7 +761,7 @@ int Dispatch(const std::string& command, util::ArgParser& args) {
   if (command == "fit") return CmdFit(args);
   if (command == "predict") return CmdPredict(args);
   if (command == "recommend") return CmdRecommend(args);
-  if (command == "add-user") return CmdAddUser(args);
+  if (command == "add-user") return CmdEnrolUser(args);
   if (command == "evaluate") return CmdEvaluate(args);
   if (command == "verify-model") return CmdVerifyModel(args);
   if (command == "json-check") return CmdJsonCheck(args);
