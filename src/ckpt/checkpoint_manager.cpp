@@ -101,8 +101,8 @@ std::uint64_t CheckpointManager::CheckpointNow() {
   try {
     CFSF_FAILPOINT("ckpt.write");
     // Step 2: the bundle.  SaveModel is atomic (tmp+rename); the
-    // read-back proves the bytes on disk reconstruct, so CURRENT never
-    // points at a checkpoint that cannot actually recover.
+    // read-back proves the bytes on disk reconstruct, so no manifest
+    // ever names a checkpoint that cannot actually recover.
     core::SaveModel(*snapshot.model, model_path);
     const core::VerifyReport report = core::VerifyModel(model_path);
 
@@ -112,10 +112,8 @@ std::uint64_t CheckpointManager::CheckpointNow() {
     manifest.watermark_lsn = snapshot.watermark;
     manifest.generation = folder_.publishes();
     manifest.model_bytes = report.file_bytes;
+    // Step 3, the commit point: recovery sees this checkpoint from here.
     WriteManifestFile(options_.dir, manifest);
-
-    // Step 4: only now does recovery prefer this checkpoint.
-    WriteCurrentFile(options_.dir, id);
   } catch (const util::Error& e) {
     // Leave any orphan bundle for the next GC pass; nothing references
     // it, so recovery is unaffected.
@@ -138,29 +136,26 @@ std::uint64_t CheckpointManager::CheckpointNow() {
 
   const std::uint64_t compact_below = GarbageCollect(snapshot.watermark);
 
-  bool do_compact = options_.compact;
   {
     util::MutexLock lock(&mutex_);
-    do_compact = do_compact && !compaction_failed_;
+    if (compaction_failed_) return id;
   }
-  if (do_compact) {
-    try {
-      const wal::CompactResult compacted =
-          wal::CompactWal(log_.dir(), compact_below);
-      if (compacted.removed_segments > 0) {
-        util::MutexLock lock(&mutex_);
-        compacted_segments_ += compacted.removed_segments;
-      }
-    } catch (const util::Error& e) {
-      // Fail-stop: a half-trusted directory state must not be retried
-      // blindly.  Checkpoints keep the replay bound; the log just stops
-      // shrinking until an operator looks.
-      metrics.compact_failures.Increment();
-      CFSF_LOG_WARN << "ckpt: wal compaction fail-stopped: " << e.what();
+  try {
+    const wal::CompactResult compacted =
+        wal::CompactWal(log_.dir(), compact_below);
+    if (compacted.removed_segments > 0) {
       util::MutexLock lock(&mutex_);
-      compaction_failed_ = true;
-      last_error_ = e.what();
+      compacted_segments_ += compacted.removed_segments;
     }
+  } catch (const util::Error& e) {
+    // Fail-stop: a half-trusted directory state must not be retried
+    // blindly.  Checkpoints keep the replay bound; the log just stops
+    // shrinking until an operator looks.
+    metrics.compact_failures.Increment();
+    CFSF_LOG_WARN << "ckpt: wal compaction fail-stopped: " << e.what();
+    util::MutexLock lock(&mutex_);
+    compaction_failed_ = true;
+    last_error_ = e.what();
   }
   return id;
 }

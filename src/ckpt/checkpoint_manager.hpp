@@ -12,32 +12,35 @@
 //   2. bundle      core::SaveModel to ckpt-<id>.model (format v2:
 //                  CRC'd sections, tmp+rename) + directory fsync,
 //                  then a full VerifyModel read-back — a checkpoint
-//                  that cannot be re-read is never referenced
+//                  that cannot be re-read never gets a manifest
 //   3. manifest    ckpt-<id>.manifest binding the bundle to the
-//                  watermark (ckpt/manifest.hpp), atomic
-//   4. CURRENT     swapped to the new id only now — every step above
-//                  is invisible to recovery until this rename lands
-//   5. GC          checkpoints beyond keep_last are unlinked,
+//                  watermark (ckpt/manifest.hpp), atomic — the commit
+//                  point: the bundle is invisible to recovery until
+//                  this rename lands, and the newest checkpoint from
+//                  the moment it does
+//   4. GC          checkpoints beyond keep_last are unlinked,
 //                  manifest first (so a crash never leaves a manifest
 //                  pointing at a missing bundle)
-//   6. compaction  wal::CompactWal below the *minimum* watermark over
+//   5. compaction  wal::CompactWal below the *minimum* watermark over
 //                  the retained checkpoints — the oldest fallback
 //                  candidate must still find its replay suffix, so
 //                  compaction is bounded by the weakest retained
 //                  checkpoint, not the newest
 //
-// A crash at any point leaves the previous checkpoint + CURRENT intact
-// and the WAL uncompacted past what retained checkpoints cover — the
-// kill-recover harness (tests/ckpt_crash_test.cpp) SIGKILLs inside
-// every step and asserts exactly that.
+// A crash at any point leaves the newest committed checkpoint intact —
+// the one in flight once its manifest has landed, the previous one
+// before — and the WAL uncompacted past what retained checkpoints
+// cover; the kill-recover harness (tests/ckpt_crash_test.cpp)
+// SIGKILLs inside every step and asserts exactly that.
 //
-// Compaction failure is fail-stop: after one unlink/fsync error the
-// manager never compacts again (checkpoints keep being written; the
-// log grows until an operator intervenes).  Checkpoint failure is not:
-// the next cadence tick retries with a fresh id.
+// Every successful checkpoint is followed by compaction.  Compaction
+// failure is fail-stop: after one unlink/fsync error the manager never
+// compacts again (checkpoints keep being written; the log grows until
+// an operator intervenes).  Checkpoint failure is not: the next
+// cadence tick retries with a fresh id.
 //
 // Failpoints: ckpt.write (step 2 entry), ckpt.manifest (step 3 entry),
-// wal.compact (step 6, inside CompactWal).  Metrics: ckpt.writes,
+// wal.compact (step 5, inside CompactWal).  Metrics: ckpt.writes,
 // ckpt.write.failures, ckpt.last_id, ckpt.watermark,
 // ckpt.compacted_segments, ckpt.compact.failures.
 #pragma once
@@ -62,8 +65,6 @@ struct CheckpointOptions {
   /// Background cadence of Start()'s thread (also the Stop() latency
   /// bound); each tick checkpoints only when the watermark advanced.
   std::chrono::milliseconds interval{5000};
-  /// Compact the WAL after each successful checkpoint.
-  bool compact = true;
 };
 
 /// A point-in-time view for /healthz and tests.
@@ -92,8 +93,8 @@ class CheckpointManager {
   /// One synchronous checkpoint (the admin/CLI trigger and the cadence
   /// body).  Returns the new checkpoint id, or 0 when skipped because
   /// the fold watermark has not advanced past the last checkpoint.
-  /// Throws util::IoError on write/verify failure — nothing is
-  /// referenced by CURRENT in that case.  Compaction errors do not
+  /// Throws util::IoError on write/verify failure — no manifest names
+  /// the checkpoint in that case.  Compaction errors do not
   /// throw; they fail-stop compaction and surface in status().
   std::uint64_t CheckpointNow() CFSF_BLOCKING CFSF_EXCLUDES(mutex_);
 

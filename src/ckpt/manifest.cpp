@@ -19,7 +19,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kManifestMagic[4] = {'C', 'F', 'C', 'M'};
-constexpr char kCurrentMagic[4] = {'C', 'F', 'C', 'P'};
 
 void PutU32(unsigned char* out, std::uint32_t value) {
   out[0] = static_cast<unsigned char>(value);
@@ -105,7 +104,7 @@ bool ReadFileExact(const std::string& path, unsigned char* out,
   if (!in.read(reinterpret_cast<char*>(out), static_cast<std::streamsize>(size))) {
     return false;
   }
-  // Trailing bytes are corruption too: the formats are fixed-size.
+  // Trailing bytes are corruption too: the format is fixed-size.
   return in.peek() == std::ifstream::traits_type::eof();
 }
 
@@ -132,21 +131,6 @@ bool DecodeManifest(const unsigned char in[kManifestBytes],
   manifest->watermark_lsn = GetU64(in + 16);
   manifest->generation = GetU64(in + 24);
   manifest->model_bytes = GetU64(in + 32);
-  return true;
-}
-
-void EncodeCurrent(std::uint64_t id, unsigned char out[kCurrentBytes]) {
-  std::memcpy(out, kCurrentMagic, 4);
-  PutU32(out + 4, kManifestFormatVersion);
-  PutU64(out + 8, id);
-  PutU32(out + 16, util::Crc32(out, kCurrentBytes - 4));
-}
-
-bool DecodeCurrent(const unsigned char in[kCurrentBytes], std::uint64_t* id) {
-  if (std::memcmp(in, kCurrentMagic, 4) != 0) return false;
-  if (GetU32(in + 16) != util::Crc32(in, kCurrentBytes - 4)) return false;
-  if (GetU32(in + 4) != kManifestFormatVersion) return false;
-  *id = GetU64(in + 8);
   return true;
 }
 
@@ -183,23 +167,10 @@ void WriteManifestFile(const std::string& dir, const Manifest& manifest) {
   WriteFileAtomic(dir, ManifestFileName(manifest.id), raw, sizeof(raw));
 }
 
-void WriteCurrentFile(const std::string& dir, std::uint64_t id) {
-  unsigned char raw[kCurrentBytes];
-  EncodeCurrent(id, raw);
-  WriteFileAtomic(dir, kCurrentFileName, raw, sizeof(raw));
-}
-
 bool ReadManifestFile(const std::string& path, Manifest* manifest) {
   unsigned char raw[kManifestBytes];
   if (!ReadFileExact(path, raw, sizeof(raw))) return false;
   return DecodeManifest(raw, manifest);
-}
-
-bool ReadCurrentFile(const std::string& dir, std::uint64_t* id) {
-  unsigned char raw[kCurrentBytes];
-  const std::string path = (fs::path(dir) / kCurrentFileName).string();
-  if (!ReadFileExact(path, raw, sizeof(raw))) return false;
-  return DecodeCurrent(raw, id);
 }
 
 std::vector<std::uint64_t> ListCheckpointIds(const std::string& dir) {

@@ -8,25 +8,23 @@
 //   ckpt-<10-digit N>.manifest   this header's 48-byte record binding
 //                                the bundle to its WAL watermark
 //
-// plus one `CURRENT` file (20 bytes) naming the id recovery should try
-// first.  Every file is little-endian, CRC-trailed, and written with
-// the bundle-v2 atomic discipline (tmp + fsync + rename + directory
-// fsync), so any crash leaves each file either absent or whole — and
-// any flipped byte is caught by a CRC, never trusted.
+// Both are little-endian, CRC-trailed, and written with the bundle-v2
+// atomic discipline (tmp + fsync + rename + directory fsync), so any
+// crash leaves each file either absent or whole — and any flipped byte
+// is caught by a CRC, never trusted.
 //
 //   manifest (48 bytes):
 //     "CFCM" | u32 version (1) | u64 id | u64 watermark_lsn |
 //     u64 generation | u64 model_bytes | u32 reserved (0) |
 //     u32 crc32(first 44)
 //
-//   CURRENT (20 bytes):
-//     "CFCP" | u32 version (1) | u64 id | u32 crc32(first 16)
-//
-// `watermark_lsn` is the contract: every WAL record with
-// lsn <= watermark_lsn is already folded into the bundle, so recovery
-// replays only the suffix past it.  `CURRENT` is a hint, not an oracle
-// — recovery falls back to a newest-first manifest scan when it is
-// missing, corrupt, or names a checkpoint that fails verification.
+// The manifest is the checkpoint's commit point: it is written only
+// after its bundle has been read back and verified, so a manifest on
+// disk always names a verified bundle, and recovery scans manifests
+// newest-first with no other pointer.  (A `CURRENT` file an older
+// build left in the directory is ignored.)  `watermark_lsn` is the
+// contract: every WAL record with lsn <= watermark_lsn is already
+// folded into the bundle, so recovery replays only the suffix past it.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +36,6 @@ namespace cfsf::ckpt {
 
 inline constexpr std::uint32_t kManifestFormatVersion = 1;
 inline constexpr std::size_t kManifestBytes = 48;
-inline constexpr std::size_t kCurrentBytes = 20;
-inline constexpr const char kCurrentFileName[] = "CURRENT";
 
 struct Manifest {
   std::uint64_t id = 0;
@@ -60,9 +56,6 @@ void EncodeManifest(const Manifest& manifest,
 bool DecodeManifest(const unsigned char in[kManifestBytes],
                     Manifest* manifest);
 
-void EncodeCurrent(std::uint64_t id, unsigned char out[kCurrentBytes]);
-bool DecodeCurrent(const unsigned char in[kCurrentBytes], std::uint64_t* id);
-
 /// "ckpt-0000000042.model" / ".manifest" for id 42.
 std::string ModelFileName(std::uint64_t id);
 std::string ManifestFileName(std::uint64_t id);
@@ -70,15 +63,13 @@ std::string ManifestFileName(std::uint64_t id);
 /// True when `name` is a manifest file name; fills `id`.
 bool ParseManifestFileName(const std::string& name, std::uint64_t* id);
 
-/// Atomically (tmp + fsync + rename + dir fsync) writes the manifest /
-/// CURRENT into `dir`.  Throws util::IoError on any I/O failure.
+/// Atomically (tmp + fsync + rename + dir fsync) writes the manifest
+/// into `dir`.  Throws util::IoError on any I/O failure.
 void WriteManifestFile(const std::string& dir, const Manifest& manifest);
-void WriteCurrentFile(const std::string& dir, std::uint64_t id);
 
 /// False when the file is missing, short, or corrupt — never throws for
 /// those; recovery treats every false as "try the next candidate".
 bool ReadManifestFile(const std::string& path, Manifest* manifest);
-bool ReadCurrentFile(const std::string& dir, std::uint64_t* id);
 
 /// Ids of every `ckpt-*.manifest` in `dir`, ascending.  An absent
 /// directory lists as empty.

@@ -15,32 +15,7 @@
 
 namespace cfsf::ckpt {
 
-namespace {
-
 namespace fs = std::filesystem;
-
-struct Candidate {
-  std::uint64_t id = 0;
-  bool from_current = false;
-};
-
-// The hint first, then every other manifest newest-first.  A stale or
-// corrupt CURRENT only costs one extra probe — the scan order below it
-// is identical either way.
-std::vector<Candidate> CandidateOrder(const std::string& dir) {
-  std::vector<Candidate> order;
-  std::uint64_t hint = 0;
-  const bool have_hint = ReadCurrentFile(dir, &hint);
-  if (have_hint) order.push_back(Candidate{hint, true});
-  const std::vector<std::uint64_t> ids = ListCheckpointIds(dir);
-  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
-    if (have_hint && *it == hint) continue;
-    order.push_back(Candidate{*it, false});
-  }
-  return order;
-}
-
-}  // namespace
 
 RecoveryResult Recover(const RecoverOptions& options) {
   CFSF_REQUIRE(!options.wal_dir.empty(), "Recover: wal_dir required");
@@ -50,20 +25,23 @@ RecoveryResult Recover(const RecoverOptions& options) {
   RecoveryResult result;
   RecoveryInfo& info = result.info;
 
-  // Rung 1: checkpoints, trust nothing unverified.  Every rejection is
-  // a counted fallback, never a crash — the candidate below (finally
-  // the seed) is always a correct, if older, starting point.
+  // Rung 1: checkpoints, newest manifest first — a manifest is written
+  // only after its bundle verified, so it is the commit point and no
+  // other pointer is consulted.  Trust nothing unverified all the same:
+  // every rejection is a counted fallback, never a crash — the
+  // candidate below (finally the seed) is always a correct, if older,
+  // starting point.
   if (!options.ckpt_dir.empty()) {
     const fs::path root(options.ckpt_dir);
-    for (const Candidate& candidate : CandidateOrder(options.ckpt_dir)) {
+    const std::vector<std::uint64_t> ids = ListCheckpointIds(options.ckpt_dir);
+    for (auto id = ids.rbegin(); id != ids.rend(); ++id) {
       Manifest manifest;
-      if (!ReadManifestFile((root / ManifestFileName(candidate.id)).string(),
+      if (!ReadManifestFile((root / ManifestFileName(*id)).string(),
                             &manifest)) {
         ++info.fallbacks;
         continue;
       }
-      const std::string model_path =
-          (root / ModelFileName(candidate.id)).string();
+      const std::string model_path = (root / ModelFileName(*id)).string();
       try {
         const core::VerifyReport report = core::VerifyModel(model_path);
         if (report.file_bytes != manifest.model_bytes) {
@@ -74,8 +52,7 @@ RecoveryResult Recover(const RecoverOptions& options) {
         }
         result.model = core::LoadModel(model_path);
       } catch (const util::Error& e) {
-        CFSF_LOG_WARN << "ckpt: skipping checkpoint " << candidate.id
-                      << (candidate.from_current ? " (CURRENT)" : "") << ": "
+        CFSF_LOG_WARN << "ckpt: skipping checkpoint " << *id << ": "
                       << e.what();
         ++info.fallbacks;
         continue;

@@ -5,13 +5,13 @@
 // cost scaling with lifetime ingestion), Recover makes restart bounded
 // by checkpoint cadence:
 //
-//   1. pick a checkpoint: try the CURRENT pointer's id first, then
-//      every other manifest newest-first.  A candidate is used only if
-//      its manifest CRC checks, its bundle passes the full
-//      section-by-section VerifyModel, the recorded size matches, and
-//      LoadModel reconstructs — anything less falls down the ladder
-//      (counting `ckpt.recovery.fallbacks`), never crashes, never
-//      serves a silently wrong model;
+//   1. pick a checkpoint: every manifest, newest first (a manifest is
+//      each checkpoint's commit point — ckpt/manifest.hpp).  A
+//      candidate is used only if its manifest CRC checks, its bundle
+//      passes the full section-by-section VerifyModel, the recorded
+//      size matches, and LoadModel reconstructs — anything less falls
+//      down the ladder (counting `ckpt.recovery.fallbacks`), never
+//      crashes, never serves a silently wrong model;
 //   2. seed fallback: when no checkpoint survives (or none exists),
 //      `seed_model()` provides the starting state with watermark 0;
 //   3. open the WAL (repair mode: torn tail truncated, tmp leftovers

@@ -196,7 +196,7 @@ inline constexpr FailPointInfo kFailPoints[] = {
     {"wal.compact", "`CompactWal`, before the first unlink",
      "compaction fail-stops; log and checkpoints intact"},
     {"ckpt.write", "`CheckpointManager` checkpoint body, before the bundle",
-     "checkpoint skipped; previous checkpoint + `CURRENT` intact"},
+     "checkpoint skipped; no manifest, recovery uses the previous one"},
     {"ckpt.manifest", "checkpoint manifest write, after the bundle",
      "checkpoint unreferenced; recovery uses the previous one"},
 };

@@ -135,12 +135,9 @@ std::vector<LadderResult> FallbackPredictor::PredictBatchWithLadder(
 
 std::vector<double> FallbackPredictor::PredictBatch(
     std::span<const std::pair<matrix::UserId, matrix::ItemId>> queries) const {
-  const Deadline batch_deadline = options_.batch_budget.count() > 0
-                                      ? Deadline::After(options_.batch_budget)
-                                      : Deadline();
   std::vector<double> out;
   out.reserve(queries.size());
-  for (const auto& result : PredictBatchWithLadder(queries, batch_deadline)) {
+  for (const auto& result : PredictBatchWithLadder(queries, Deadline())) {
     out.push_back(result.value);
   }
   return out;

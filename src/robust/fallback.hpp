@@ -16,13 +16,13 @@
 //
 // A per-call Deadline (steady-clock budget) is checked between rungs:
 // once the budget is spent, the remaining expensive rungs are skipped
-// and the call resolves from the mean rungs.  Batch prediction threads
-// one shared Deadline through every query on top of the per-call
-// budgets (FallbackOptions::batch_budget / PredictBatchWithLadder), so
-// a batch stops descending tiers as soon as its budget is spent instead
-// of burning a fresh budget per query.  DegradationPolicy::kThrow
-// turns the ladder off — faults and deadline overruns surface to the
-// caller as exceptions (today's behaviour); kFallback degrades instead.
+// and the call resolves from the mean rungs.  PredictBatchWithLadder
+// threads one shared batch Deadline through every query on top of the
+// per-call budgets, so a batch stops descending tiers as soon as its
+// budget is spent instead of burning a fresh budget per query.
+// DegradationPolicy::kThrow turns the ladder off — faults and deadline
+// overruns surface to the caller as exceptions (today's behaviour);
+// kFallback degrades instead.
 //
 // Every degradation is counted in the process-wide MetricsRegistry:
 //   robust.fallback.sir / robust.fallback.user_mean /
@@ -111,11 +111,6 @@ struct FallbackOptions {
   DegradationPolicy policy = DegradationPolicy::kFallback;
   /// Per-call budget; zero = unlimited.
   std::chrono::microseconds budget{0};
-  /// Whole-batch budget for PredictBatch; zero = unlimited.  The batch
-  /// shares one Deadline: once it expires, the remaining queries stop
-  /// descending through the expensive rungs and resolve from the mean
-  /// rungs (each query still also honours the per-call `budget`).
-  std::chrono::microseconds batch_budget{0};
   /// Every rung's output is clamped into [clamp_lo, clamp_hi] (the
   /// rating scale); set clamp_lo > clamp_hi to disable.
   double clamp_lo = 1.0;
@@ -141,13 +136,11 @@ class FallbackPredictor : public eval::Predictor {
   double Predict(matrix::UserId user, matrix::ItemId item) const
       CFSF_HOT_PATH override;
 
-  /// Serial ladder loop.  Each query gets its own per-call budget AND
-  /// shares the batch-wide deadline derived from `batch_budget` — once
-  /// the batch budget is spent, the remaining queries skip the expensive
-  /// rungs instead of each burning a fresh budget.  (The wrapped model's
-  /// parallel batch path does not apply per-query deadlines, so the
-  /// wrapper deliberately trades batch throughput for bounded
-  /// per-query behaviour.)
+  /// Serial ladder loop with no batch deadline: each query gets only
+  /// its own per-call budget.  (The wrapped model's parallel batch path
+  /// does not apply per-query deadlines, so the wrapper deliberately
+  /// trades batch throughput for bounded per-query behaviour.)  Callers
+  /// that budget the whole batch use PredictBatchWithLadder.
   std::vector<double> PredictBatch(
       std::span<const std::pair<matrix::UserId, matrix::ItemId>> queries)
       const CFSF_HOT_PATH override;

@@ -76,8 +76,6 @@ WriteAheadLog::WriteAheadLog(std::string dir, const WalOptions& options,
   CFSF_REQUIRE(
       options_.max_segment_bytes >= kSegmentHeaderBytes + kRecordBytes,
       "WriteAheadLog: max_segment_bytes must hold a header and one record");
-  CFSF_REQUIRE(options_.fsync_every_n > 0,
-               "WriteAheadLog: fsync_every_n must be positive");
 
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -106,7 +104,6 @@ WriteAheadLog::WriteAheadLog(std::string dir, const WalOptions& options,
     }
   }
   if (recovered != nullptr) *recovered = std::move(replay.records);
-  last_sync_ = std::chrono::steady_clock::now();
   healthy_ = true;
   if (replay.tail_seq != 0 &&
       replay.segment_infos.back().version == kFormatVersion) {
@@ -178,8 +175,8 @@ void WriteAheadLog::CreateSegmentLocked(std::uint64_t seq,
 }
 
 void WriteAheadLog::RotateLocked() {
-  // Settle the old segment first so its records are acked before the
-  // fd goes away; SyncLocked poisons on failure.
+  // Seal the old segment with a barrier before its fd goes away;
+  // SyncLocked poisons on failure.
   SyncLocked();
   try {
     CFSF_FAILPOINT("wal.rotate");
@@ -193,7 +190,6 @@ void WriteAheadLog::RotateLocked() {
 }
 
 void WriteAheadLog::SyncLocked() {
-  const bool had_unsynced = !unsynced_.empty();
   try {
     CFSF_FAILPOINT("wal.fsync");
     if (::fsync(fd_) != 0) {
@@ -207,14 +203,6 @@ void WriteAheadLog::SyncLocked() {
   }
   WalMetrics::Instance().fsyncs.Increment();
   durable_lsn_ = next_lsn_ - 1;
-  last_sync_ = std::chrono::steady_clock::now();
-  if (had_unsynced) {
-    for (AckedRecord& record : unsynced_) {
-      record.acked_at = last_sync_;
-      acked_.push_back(std::move(record));
-    }
-    unsynced_.clear();
-  }
 }
 
 void WriteAheadLog::RememberRequestLocked(std::uint64_t request_id,
@@ -240,13 +228,10 @@ void WriteAheadLog::PoisonLocked(const std::string& reason) {
     ::close(fd_);
     fd_ = -1;
   }
-  // Never-acked buffered records are dropped — exactly the "unacked
-  // records may drop" half of the recovery invariant.
-  unsynced_.clear();
 }
 
 AppendAck WriteAheadLog::Append(const matrix::RatingTriple& record,
-                                bool require_durable,
+                                bool /*require_durable*/,
                                 std::uint64_t request_id) {
   const auto start = std::chrono::steady_clock::now();
   WalMetrics& metrics = WalMetrics::Instance();
@@ -262,13 +247,11 @@ AppendAck WriteAheadLog::Append(const matrix::RatingTriple& record,
   if (request_id != 0 && options_.dedup_window > 0) {
     const auto hit = dedup_.find(request_id);
     if (hit != dedup_.end()) {
-      // An at-least-once retry: the original record is already in the
-      // log (and possibly folded), so re-ack it instead of writing a
-      // duplicate the folder would double-apply.
-      const std::uint64_t original = hit->second;
-      if (require_durable && original > durable_lsn_) SyncLocked();
+      // An at-least-once retry: the original record is already durable
+      // in the log (and possibly folded), so re-ack it instead of
+      // writing a duplicate the folder would double-apply.
       metrics.dedup_hits.Increment();
-      return AppendAck{original, durable_lsn_ >= original, true};
+      return AppendAck{hit->second, true};
     }
   }
 
@@ -296,40 +279,19 @@ AppendAck WriteAheadLog::Append(const matrix::RatingTriple& record,
 
   const std::uint64_t lsn = next_lsn_++;
   segment_bytes_ += kRecordBytes;
-  unsynced_.push_back(AckedRecord{record, lsn, request_id, {}});
+  // The ack point: nothing below is reached unless the record is on
+  // disk.  A failed barrier poisons the log and throws, unacked.
+  SyncLocked();
+  const auto acked_at = std::chrono::steady_clock::now();
+  acked_.push_back(AckedRecord{record, lsn, request_id, acked_at});
   if (request_id != 0 && options_.dedup_window > 0) {
     RememberRequestLocked(request_id, lsn);
   }
 
-  bool barrier = require_durable;
-  switch (options_.fsync_policy) {
-    case FsyncPolicy::kEveryRecord:
-      barrier = true;
-      break;
-    case FsyncPolicy::kEveryN:
-      barrier = barrier || unsynced_.size() >= options_.fsync_every_n;
-      break;
-    case FsyncPolicy::kTimed:
-      barrier = barrier || std::chrono::steady_clock::now() - last_sync_ >=
-                               options_.fsync_interval;
-      break;
-  }
-  if (barrier) SyncLocked();
-
   metrics.appends.Increment();
   metrics.append_latency_us.Record(
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  return AppendAck{lsn, durable_lsn_ >= lsn};
-}
-
-void WriteAheadLog::Sync() {
-  util::MutexLock lock(&mutex_);
-  if (!healthy_) {
-    throw util::IoError("wal unavailable: " + unavailable_reason_);
-  }
-  SyncLocked();
+      std::chrono::duration<double, std::micro>(acked_at - start).count());
+  return AppendAck{lsn};
 }
 
 std::size_t WriteAheadLog::DrainAcked(std::vector<AckedRecord>* out) {

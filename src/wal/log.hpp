@@ -6,23 +6,18 @@
 // acks never went out.  The contract, proven by the kill-recover
 // harness in tests/wal_crash_test.cpp:
 //
-//   acked    =>  durable   an Append that returns `durable` has been
-//                          fsynced (file and, across rotations, the
-//                          directory entry) and survives replay
+//   acked    =>  durable   an Append that returns has fsynced its
+//                          record (file and, across rotations, the
+//                          directory entry); the record survives replay
 //   crashed  =>  prefix    recovery yields an exact prefix of the
 //                          appended sequence — a torn tail is dropped,
 //                          never a corrupt or duplicated record
 //
 // Records are fixed-size CRC-framed triples (wal/format.hpp) in
 // size-capped segments rotated with the bundle-v2 tmp+rename
-// discipline.  The fsync policy trades latency for ack batching:
-//
-//   kEveryRecord   fsync per append; every ack is durable (default)
-//   kEveryN        fsync once per N buffered records
-//   kTimed         fsync when `fsync_interval` has elapsed
-//
-// Callers that must not ack early (the serving path) pass
-// `require_durable`, which forces the barrier regardless of policy.
+// discipline.  Every Append runs the fsync barrier before it returns,
+// so there is one durability rule: a record is acked, and drainable,
+// exactly when it is durable.
 //
 // Failure discipline is fail-stop: an fsync or rotation failure leaves
 // the log's durability state unknowable, so the log poisons itself and
@@ -62,17 +57,10 @@
 
 namespace cfsf::wal {
 
-enum class FsyncPolicy { kEveryRecord, kEveryN, kTimed };
-
 struct WalOptions {
   /// A segment past this size rotates before the next append.  Must
   /// hold the header plus at least one record.
   std::uint64_t max_segment_bytes = 4u << 20;
-  FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
-  /// kEveryN: buffered records that force the barrier.
-  std::size_t fsync_every_n = 32;
-  /// kTimed: elapsed time since the last barrier that forces the next.
-  std::chrono::milliseconds fsync_interval{5};
   /// How far back (in lsns) the request-id dedup table remembers.  A
   /// retry arriving more than this many appends after the original is
   /// applied again — the window bounds memory, it is not a correctness
@@ -82,9 +70,6 @@ struct WalOptions {
 
 struct AppendAck {
   std::uint64_t lsn = 0;
-  /// True when the record is fsynced; with a batching policy, false
-  /// means "written, durable at the next barrier".
-  bool durable = false;
   /// True when the record's request id matched one inside the dedup
   /// window: `lsn` is the *original* record's, nothing new was written.
   bool deduplicated = false;
@@ -115,20 +100,26 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Appends one record.  Throws util::IoError when the log is
-  /// unavailable (poisoned or closed) or the record cannot be written;
-  /// a refused record is never partially present on disk.  A nonzero
-  /// `request_id` that matches a record inside the dedup window returns
-  /// that record's ack (`deduplicated` set) without writing anything.
+  /// Appends one record and returns once it is fsynced; only then is
+  /// it handed to DrainAcked.  Throws util::IoError when the log is
+  /// unavailable (poisoned or closed) or the record cannot be written
+  /// or synced; a refused record is never acked, and never partially
+  /// present on disk.  A nonzero `request_id` that matches a record
+  /// inside the dedup window returns that record's ack (`deduplicated`
+  /// set) without writing anything.
+  ///
+  /// `require_durable` is not read: every append is durable.  It stays
+  /// only because bench/perfbench/bench.cpp passes `true` as the second
+  /// argument, which without it would bind to `request_id` and turn
+  /// that benchmark's appends into dedup hits.  Delete it once that
+  /// benchmark stops passing it, and drop it from every call site in
+  /// the same change so that no argument shifts into its slot.
   AppendAck Append(const matrix::RatingTriple& record,
                    bool require_durable = false,
                    std::uint64_t request_id = 0)
       CFSF_BLOCKING CFSF_EXCLUDES(mutex_);
 
-  /// Forces the durability barrier for everything appended so far.
-  void Sync() CFSF_BLOCKING CFSF_EXCLUDES(mutex_);
-
-  /// Moves every durably acknowledged, not-yet-drained record into
+  /// Moves every acknowledged (so durable), not-yet-drained record into
   /// `out` (appended, lsn order).  Returns how many were moved.  Still
   /// valid on a poisoned log — what was acked stays acked.
   std::size_t DrainAcked(std::vector<AckedRecord>* out) CFSF_EXCLUDES(mutex_);
@@ -155,8 +146,8 @@ class WriteAheadLog {
   void CreateSegmentLocked(std::uint64_t seq, std::uint64_t first_lsn)
       CFSF_REQUIRES(mutex_);
   void RotateLocked() CFSF_REQUIRES(mutex_);
-  /// The durability barrier; on success every buffered record becomes
-  /// acked.  Poisons and rethrows on failure.
+  /// The durability barrier: fsyncs the tail segment.  Poisons and
+  /// rethrows on failure.
   void SyncLocked() CFSF_REQUIRES(mutex_);
   void PoisonLocked(const std::string& reason) CFSF_REQUIRES(mutex_);
   /// Records request_id -> lsn and evicts entries older than the
@@ -176,11 +167,8 @@ class WriteAheadLog {
   std::uint64_t segment_bytes_ CFSF_GUARDED_BY(mutex_) = 0;
   std::uint64_t next_lsn_ CFSF_GUARDED_BY(mutex_) = 1;
   std::uint64_t durable_lsn_ CFSF_GUARDED_BY(mutex_) = 0;
-  /// Written but not yet fsynced, oldest first.
-  std::vector<AckedRecord> unsynced_ CFSF_GUARDED_BY(mutex_);
   /// Fsynced, awaiting DrainAcked.
   std::vector<AckedRecord> acked_ CFSF_GUARDED_BY(mutex_);
-  std::chrono::steady_clock::time_point last_sync_ CFSF_GUARDED_BY(mutex_);
   /// request id -> lsn of the identified records inside the dedup
   /// window; the fifo (insertion order == lsn order) drives eviction.
   std::unordered_map<std::uint64_t, std::uint64_t> dedup_

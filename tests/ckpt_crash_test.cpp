@@ -3,13 +3,13 @@
 //
 //   * whole-loop kill-recover harness: a forked child runs the real
 //     ingest pipeline — durable appends with request ids, DeltaFolder
-//     folds, CheckpointManager checkpoints (bundle, manifest, CURRENT
-//     swap, GC, WAL compaction) — and is SIGKILLed at seeded points,
+//     folds, CheckpointManager checkpoints (bundle, manifest, GC, WAL
+//     compaction) — and is SIGKILLed at seeded points,
 //     including deliberately mid-checkpoint.  Recovery must then lose
 //     zero acked records, replay only the WAL suffix past the chosen
 //     watermark, and absorb a request-id retry without a double fold;
-//   * randomized corruption sweep over checkpoint manifests, bundles
-//     and CURRENT: any single damaged file must fall down the recovery
+//   * randomized corruption sweep over checkpoint manifests and
+//     bundles: any single damaged file must fall down the recovery
 //     ladder to a state that still covers every appended record —
 //     never a crash, never a silently wrong model;
 //   * armed failpoints: "ckpt.write" and "ckpt.manifest" abort a
@@ -149,9 +149,9 @@ KillOutcome RunWholeLoopIteration(const std::string& wal_dir,
   util::Rng rng(seed);
   // Every third iteration aims at a checkpoint: wait for the Nth
   // kCkptBegin, then kill inside the jitter window — the kill lands in
-  // the bundle write, the manifest write, the CURRENT swap, GC or
-  // compaction.  The rest kill after a seeded number of events, which
-  // mostly lands mid-append / mid-fold.
+  // the bundle write, the manifest write, GC or compaction.  The rest
+  // kill after a seeded number of events, which mostly lands
+  // mid-append / mid-fold.
   const bool aim_at_checkpoint = seed % 3 == 0;
   const std::size_t kill_after =
       aim_at_checkpoint ? static_cast<std::size_t>(rng.NextInt(1, 5))
@@ -325,7 +325,7 @@ KillOutcome RunWholeLoopIteration(const std::string& wal_dir,
 TEST_F(CkptCrashTest, WholeLoopKillRecoverLosesNothingAndReplaysBounded) {
   // >= 40 seeded whole-loop kills (acceptance floor); a third aim
   // specifically inside CheckpointNow, covering the bundle write, the
-  // manifest write, the CURRENT swap, GC and compaction.
+  // manifest write, GC and compaction.
   constexpr std::uint64_t kIterations = 48;
   std::uint64_t total_acked = 0;
   std::size_t mid_checkpoint_kills = 0;
@@ -393,15 +393,14 @@ TEST_F(CkptCrashTest, CorruptionSweepFallsDownTheLadderNeverWrong) {
     fs::copy(golden_wal, wal_dir_, fs::copy_options::recursive);
     fs::copy(golden_ckpt, ckpt_dir_, fs::copy_options::recursive);
 
-    // Victim: newest manifest / newest bundle / older manifest /
-    // CURRENT.  Damage: single bit flip or truncation.
+    // Victim: newest manifest / newest bundle / older manifest.
+    // Damage: single bit flip or truncation.
     const fs::path root(ckpt_dir_);
     fs::path victim;
-    switch (rng.NextBounded(4)) {
+    switch (rng.NextBounded(3)) {
       case 0: victim = root / ckpt::ManifestFileName(ids.back()); break;
       case 1: victim = root / ckpt::ModelFileName(ids.back()); break;
-      case 2: victim = root / ckpt::ManifestFileName(ids.front()); break;
-      default: victim = root / ckpt::kCurrentFileName; break;
+      default: victim = root / ckpt::ManifestFileName(ids.front()); break;
     }
     const auto size = fs::file_size(victim);
     if (rng.NextBounded(2) == 0) {
@@ -482,9 +481,23 @@ TEST_F(CkptCrashTest, CheckpointWriteFaultLeavesThePreviousCheckpointLive) {
     EXPECT_THROW(pipeline.manager->CheckpointNow(), util::IoError);
   }
   EXPECT_EQ(pipeline.manager->status().failures, 1u);
-  std::uint64_t current = 0;
-  ASSERT_TRUE(ckpt::ReadCurrentFile(ckpt_dir_, &current));
-  EXPECT_EQ(current, 1u) << "a failed checkpoint moved CURRENT";
+  // No manifest committed the failed checkpoint, so recovery (run
+  // against a copy of the WAL, so the live pipeline keeps its log)
+  // still uses checkpoint 1.
+  EXPECT_EQ(ckpt::ListCheckpointIds(ckpt_dir_),
+            (std::vector<std::uint64_t>{1}));
+  const std::string wal_copy = root_ + "/wal_copy";
+  fs::copy(wal_dir_, wal_copy, fs::copy_options::recursive);
+  ckpt::RecoverOptions options;
+  options.ckpt_dir = ckpt_dir_;
+  options.wal_dir = wal_copy;
+  options.seed_model = TinySeed;
+  {
+    const ckpt::RecoveryResult result = ckpt::Recover(options);
+    EXPECT_EQ(result.info.source, "checkpoint");
+    EXPECT_EQ(result.info.checkpoint_id, 1u);
+    ExpectFoldedUpTo(*result.model, 12);
+  }
   // The next attempt succeeds with a fresh id; checkpointing is not
   // fail-stop.
   EXPECT_EQ(pipeline.manager->CheckpointNow(), 3u);

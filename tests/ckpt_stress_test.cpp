@@ -94,7 +94,7 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
           const wal::AppendAck ack =
               log.Append(record, /*require_durable=*/true,
                          /*request_id=*/1 + t * kAppendsPerThread + i);
-          ASSERT_TRUE(ack.durable);
+          ASSERT_GE(log.durable_lsn(), ack.lsn);
           ASSERT_FALSE(ack.deduplicated);
         }
       });

@@ -1,5 +1,5 @@
-// Unit tests for the checkpoint subsystem: manifest / CURRENT codecs
-// and atomic file round trips, WAL compaction bounds, the request-id
+// Unit tests for the checkpoint subsystem: manifest codecs and atomic
+// file round trips, WAL compaction bounds, the request-id
 // dedup window, the DeltaFolder's fold watermark, CheckpointManager's
 // write/skip/GC cycle and ckpt::Recover's ladder.  The crash and
 // corruption halves live in tests/ckpt_crash_test.cpp (label `fault`).
@@ -20,6 +20,7 @@
 #include "matrix/types.hpp"
 #include "serve/delta_folder.hpp"
 #include "serve/model_generation.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "wal/compact.hpp"
 #include "wal/format.hpp"
@@ -118,22 +119,6 @@ TEST(CkptManifestTest, ManifestRoundTripsAndRejectsAnyBitFlip) {
   }
 }
 
-TEST(CkptManifestTest, CurrentRoundTripsAndRejectsAnyBitFlip) {
-  unsigned char raw[ckpt::kCurrentBytes];
-  ckpt::EncodeCurrent(9000000001ull, raw);
-  std::uint64_t id = 0;
-  ASSERT_TRUE(ckpt::DecodeCurrent(raw, &id));
-  EXPECT_EQ(id, 9000000001ull);
-  for (std::size_t byte = 0; byte < ckpt::kCurrentBytes; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      unsigned char bent[ckpt::kCurrentBytes];
-      std::copy(raw, raw + ckpt::kCurrentBytes, bent);
-      bent[byte] = static_cast<unsigned char>(bent[byte] ^ (1u << bit));
-      EXPECT_FALSE(ckpt::DecodeCurrent(bent, &id));
-    }
-  }
-}
-
 TEST(CkptManifestTest, FileNamesRoundTripAndRejectStrays) {
   EXPECT_EQ(ckpt::ModelFileName(42), "ckpt-0000000042.model");
   EXPECT_EQ(ckpt::ManifestFileName(42), "ckpt-0000000042.manifest");
@@ -154,19 +139,17 @@ TEST_F(CkptTest, ManifestFilesRoundTripAndListAscending) {
     manifest.watermark_lsn = id * 10;
     ckpt::WriteManifestFile(ckpt_dir_, manifest);
   }
-  ckpt::WriteCurrentFile(ckpt_dir_, 3);
   EXPECT_EQ(ckpt::ListCheckpointIds(ckpt_dir_),
             (std::vector<std::uint64_t>{1, 2, 3}));
   ckpt::Manifest manifest;
   ASSERT_TRUE(ckpt::ReadManifestFile(
       (fs::path(ckpt_dir_) / ckpt::ManifestFileName(2)).string(), &manifest));
   EXPECT_EQ(manifest.watermark_lsn, 20u);
-  std::uint64_t current = 0;
-  ASSERT_TRUE(ckpt::ReadCurrentFile(ckpt_dir_, &current));
-  EXPECT_EQ(current, 3u);
   // Absent directory and absent file are "no", not exceptions.
   EXPECT_TRUE(ckpt::ListCheckpointIds(root_ + "/nope").empty());
-  EXPECT_FALSE(ckpt::ReadCurrentFile(root_ + "/nope", &current));
+  EXPECT_FALSE(ckpt::ReadManifestFile(
+      (fs::path(root_) / "nope" / ckpt::ManifestFileName(1)).string(),
+      &manifest));
 }
 
 TEST_F(CkptTest, TruncatedOrOversizedManifestFilesAreRejected) {
@@ -200,7 +183,7 @@ TEST_F(CkptTest, RequestIdDeduplicatesWithinASessionAndAcrossReopen) {
         log.Append(RecordForLsn(1), /*require_durable=*/true, id_a);
     EXPECT_TRUE(retry.deduplicated);
     EXPECT_EQ(retry.lsn, 1u);
-    EXPECT_TRUE(retry.durable);
+    EXPECT_GE(log.durable_lsn(), retry.lsn);
     EXPECT_EQ(log.next_lsn(), 2u) << "a dedup hit must not write";
     // The absorbed retry is never re-acked: exactly one fold source.
     std::vector<wal::AckedRecord> drained;
@@ -378,14 +361,11 @@ TEST_F(CkptTest, CheckpointWriteSkipAndGarbageCollectCycle) {
   EXPECT_EQ(status.writes, 4u);
   EXPECT_EQ(status.failures, 0u);
   EXPECT_FALSE(status.compaction_failed);
-  // GC kept exactly keep_last, CURRENT points at the newest, and
-  // compaction ran below the *minimum* retained watermark (8): the
-  // oldest retained checkpoint can still find its whole replay suffix.
+  // GC kept exactly keep_last, and compaction ran below the *minimum*
+  // retained watermark (8): the oldest retained checkpoint can still
+  // find its whole replay suffix.
   EXPECT_EQ(ckpt::ListCheckpointIds(ckpt_dir_),
             (std::vector<std::uint64_t>{3, 4}));
-  std::uint64_t current = 0;
-  ASSERT_TRUE(ckpt::ReadCurrentFile(ckpt_dir_, &current));
-  EXPECT_EQ(current, 4u);
   const wal::ReplayResult replay = wal::ReplayLog(wal_dir_);
   EXPECT_GT(replay.first_lsn, 1u);
   EXPECT_LE(replay.first_lsn, 9u) << "compacted past a retained watermark";
@@ -535,6 +515,17 @@ TEST_F(CkptTest, RecoveredModelPredictsExactlyLikeTheLiveGeneration) {
   }
 }
 
+// Flips one bit of the byte in the middle of `path`.
+void FlipMidFileByte(const std::string& path) {
+  const auto middle = static_cast<std::streamoff>(fs::file_size(path) / 2);
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekg(middle);
+  char byte = 0;
+  file.get(byte);
+  file.seekp(middle);
+  file.put(static_cast<char>(byte ^ 0x20));
+}
+
 TEST_F(CkptTest, RecoverFallsBackToThePreviousCheckpointOnCorruption) {
   {
     wal::WriteAheadLog log(wal_dir_);
@@ -542,7 +533,6 @@ TEST_F(CkptTest, RecoverFallsBackToThePreviousCheckpointOnCorruption) {
     serve::DeltaFolder folder(log, models, TinySeed());
     ckpt::CheckpointOptions options;
     options.dir = ckpt_dir_;
-    options.compact = false;
     ckpt::CheckpointManager manager(folder, log, options);
     for (std::uint64_t lsn = 1; lsn <= 6; ++lsn) {
       log.Append(RecordForLsn(lsn), true);
@@ -556,16 +546,7 @@ TEST_F(CkptTest, RecoverFallsBackToThePreviousCheckpointOnCorruption) {
     EXPECT_EQ(manager.CheckpointNow(), 2u);
   }
   // Flip one byte mid-bundle in the newest checkpoint.
-  const std::string victim =
-      (fs::path(ckpt_dir_) / ckpt::ModelFileName(2)).string();
-  {
-    std::fstream file(victim, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(static_cast<std::streamoff>(fs::file_size(victim) / 2));
-    char byte = 0;
-    file.get(byte);
-    file.seekp(static_cast<std::streamoff>(fs::file_size(victim) / 2));
-    file.put(static_cast<char>(byte ^ 0x20));
-  }
+  FlipMidFileByte((fs::path(ckpt_dir_) / ckpt::ModelFileName(2)).string());
   ckpt::RecoverOptions options;
   options.ckpt_dir = ckpt_dir_;
   options.wal_dir = wal_dir_;
@@ -578,6 +559,72 @@ TEST_F(CkptTest, RecoverFallsBackToThePreviousCheckpointOnCorruption) {
   EXPECT_EQ(result.info.replayed_records, 3u);
   EXPECT_FALSE(result.info.degraded_history);
   ExpectFoldedUpTo(*result.model, 9);
+}
+
+TEST_F(CkptTest, RecoveryPicksTheNewestVerifiableManifest) {
+  // Three checkpoints (watermarks 4, 8, 12) and one record past the
+  // newest.  The manifests alone decide: recovery takes the newest whose
+  // bundle verifies, and a CURRENT pointer an older build left behind —
+  // here naming checkpoint 1 — changes nothing.
+  {
+    wal::WriteAheadLog log(wal_dir_);
+    serve::ModelGeneration models;
+    serve::DeltaFolder folder(log, models, TinySeed());
+    ckpt::CheckpointOptions options;
+    options.dir = ckpt_dir_;
+    options.keep_last = 3;
+    ckpt::CheckpointManager manager(folder, log, options);
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      for (int i = 0; i < 4; ++i) log.Append(RecordForLsn(log.next_lsn()));
+      folder.FoldOnce();
+      EXPECT_EQ(manager.CheckpointNow(), id);
+    }
+    log.Append(RecordForLsn(13));
+  }
+  ASSERT_EQ(ckpt::ListCheckpointIds(ckpt_dir_),
+            (std::vector<std::uint64_t>{1, 2, 3}));
+
+  ckpt::RecoverOptions options;
+  options.ckpt_dir = ckpt_dir_;
+  options.wal_dir = wal_dir_;
+  options.seed_model = TinySeed;
+  auto expect_recovered_from = [&](std::uint64_t id, std::size_t fallbacks) {
+    const ckpt::RecoveryResult result = ckpt::Recover(options);
+    EXPECT_EQ(result.info.source, "checkpoint");
+    EXPECT_EQ(result.info.checkpoint_id, id);
+    EXPECT_EQ(result.info.watermark, 4 * id);
+    EXPECT_EQ(result.info.fallbacks, fallbacks);
+    EXPECT_EQ(result.info.replayed_records, 13 - 4 * id);
+    ExpectFoldedUpTo(*result.model, 13);
+  };
+  {
+    SCOPED_TRACE("all three intact");
+    expect_recovered_from(3, 0);
+  }
+
+  // The old pointer's 20-byte layout: "CFCP" | u32 version 1 |
+  // u64 id | u32 crc32 of the first 16 bytes, little-endian.
+  unsigned char pointer[20] = {'C', 'F', 'C', 'P', 1, 0, 0, 0, 1};
+  const std::uint32_t crc = util::Crc32(pointer, 16);
+  for (int b = 0; b < 4; ++b) {
+    pointer[16 + b] = static_cast<unsigned char>(crc >> (8 * b));
+  }
+  const std::string current = (fs::path(ckpt_dir_) / "CURRENT").string();
+  {
+    std::ofstream out(current, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(pointer), sizeof(pointer));
+  }
+  {
+    SCOPED_TRACE("a CURRENT naming checkpoint 1");
+    expect_recovered_from(3, 0);
+  }
+
+  FlipMidFileByte((fs::path(ckpt_dir_) / ckpt::ModelFileName(3)).string());
+  {
+    SCOPED_TRACE("newest bundle corrupt, CURRENT still naming 1");
+    expect_recovered_from(2, 1);
+  }
+  EXPECT_TRUE(fs::exists(current)) << "recovery must leave the file alone";
 }
 
 TEST_F(CkptTest, RecoverFlagsDegradedHistoryWhenTheLadderOutrunsTheLog) {

@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/cfsf.hpp"
 #include "data/synthetic.hpp"
@@ -27,6 +28,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "serve/delta_folder.hpp"
 #include "serve/model_generation.hpp"
 #include "serve/serving_stack.hpp"
 #include "wal/log.hpp"
@@ -149,7 +151,7 @@ class TestClient {
 
 class NetIntegrationTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
+  static std::unique_ptr<core::CfsfModel> FitModel() {
     data::SyntheticConfig dconfig;
     dconfig.num_users = 60;
     dconfig.num_items = 80;
@@ -161,9 +163,12 @@ class NetIntegrationTest : public ::testing::Test {
     config.top_k_users = 8;
     auto model = std::make_unique<core::CfsfModel>(config);
     model->Fit(data::GenerateSynthetic(dconfig));
+    return model;
+  }
 
+  static void SetUpTestSuite() {
     models_ = std::make_unique<serve::ModelGeneration>();
-    models_->Install(std::move(model));
+    models_->Install(FitModel());
     stack_ = std::make_unique<serve::ServingStack>(*models_);
     service_ = std::make_unique<net::ServingService>(*stack_);
 
@@ -358,6 +363,75 @@ TEST_F(NetIntegrationTest, RateRouteAcksDurablyWith202) {
   // healthz reports the log as healthy.
   EXPECT_NE(client.Get("/healthz").body.find("\"rating_log\":\"ok\""),
             std::string::npos);
+
+  server.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(NetIntegrationTest, RetriedRequestIdChangesNothingEndToEnd) {
+  // Metamorphic: a rating POSTed twice under one X-CFSF-Request-Id
+  // leaves the log, the fold and every prediction exactly as one POST
+  // would.  A dedicated stack whose log a DeltaFolder folds into its
+  // own generations, so the shared models stay untouched.
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "cfsf_net_retry_wal")
+          .string();
+  std::filesystem::remove_all(dir);
+  wal::WriteAheadLog log(dir);
+  const std::shared_ptr<core::CfsfModel> seed = FitModel();
+  serve::ModelGeneration models;
+  serve::DeltaFolder folder(log, models, seed);
+  folder.PublishNow();
+  serve::ServingOptions serving_options;
+  serving_options.rating_log = &log;
+  serve::ServingStack stack(models, serving_options);
+  net::ServingService service(stack);
+  net::HttpServer server(service);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const std::string body = "{\"user\": 3, \"item\": 7, \"rating\": 5}";
+  const std::string same_id = "X-CFSF-Request-Id: rate-once\r\n";
+  const TestClient::Reply first = client.Post("/v1/rate", body, same_id);
+  ASSERT_TRUE(first.ok);
+  EXPECT_EQ(first.status, 202);
+  EXPECT_NE(first.body.find("\"lsn\":1,"), std::string::npos) << first.body;
+  EXPECT_NE(first.body.find("\"deduplicated\":false"), std::string::npos)
+      << first.body;
+  const TestClient::Reply retry = client.Post("/v1/rate", body, same_id);
+  ASSERT_TRUE(retry.ok);
+  EXPECT_EQ(retry.status, 202);
+  EXPECT_NE(retry.body.find("\"lsn\":1,"), std::string::npos) << retry.body;
+  EXPECT_NE(retry.body.find("\"deduplicated\":true"), std::string::npos)
+      << retry.body;
+  EXPECT_EQ(log.next_lsn(), 2u) << "the retry appended a second record";
+
+  // One record reaches the fold, and the model it publishes is the seed
+  // with that one rating folded in, bit for bit.
+  EXPECT_EQ(folder.FoldOnce(), 1u);
+  EXPECT_EQ(folder.folded_records(), 1u);
+  const std::vector<matrix::RatingTriple> rating{
+      matrix::RatingTriple{3, 7, 5.0F, 0}};
+  const std::unique_ptr<core::CfsfModel> once = seed->WithRatings(rating);
+  const auto published = models.Active();
+  ASSERT_NE(published, nullptr);
+  for (matrix::UserId u = 0; u < once->NumUsers(); ++u) {
+    for (matrix::ItemId i = 0; i < once->NumItems(); ++i) {
+      ASSERT_EQ(published->model().Predict(u, i), once->Predict(u, i))
+          << "user " << u << ", item " << i;
+    }
+  }
+
+  // The same rating under another id is a new write.
+  const TestClient::Reply other =
+      client.Post("/v1/rate", body, "X-CFSF-Request-Id: rate-twice\r\n");
+  ASSERT_TRUE(other.ok);
+  EXPECT_EQ(other.status, 202);
+  EXPECT_NE(other.body.find("\"lsn\":2,"), std::string::npos) << other.body;
+  EXPECT_NE(other.body.find("\"deduplicated\":false"), std::string::npos)
+      << other.body;
 
   server.Stop();
   std::filesystem::remove_all(dir);

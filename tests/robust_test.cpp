@@ -336,29 +336,6 @@ TEST_F(LadderTest, BatchDeadlineStopsTierDescentOnceSpent) {
   EXPECT_EQ(fresh.front().rung, robust::PredictionRung::kFull);
 }
 
-TEST_F(LadderTest, BatchBudgetOptionFlowsThroughPredictBatch) {
-  robust::FallbackOptions options;
-  options.batch_budget = std::chrono::microseconds(1);
-  robust::FallbackPredictor predictor(Model(), options);
-  auto& overruns = obs::MetricsRegistry::Global().GetCounter(
-      "robust.deadline_overruns");
-  const auto before = overruns.Value();
-  std::vector<std::pair<matrix::UserId, matrix::ItemId>> queries;
-  for (matrix::UserId u = 0; u < 40; ++u) queries.emplace_back(u, u % 9);
-  const auto out = predictor.PredictBatch(queries);
-  ASSERT_EQ(out.size(), queries.size());
-  for (const double v : out) {
-    EXPECT_TRUE(std::isfinite(v));
-    EXPECT_GE(v, 1.0);
-    EXPECT_LE(v, 5.0);
-  }
-  if (obs::MetricsEnabled()) {
-    // With a 1us budget over 40 queries the shared deadline expires well
-    // before the batch ends; the tail of the batch must have overrun.
-    EXPECT_GT(overruns.Value(), before);
-  }
-}
-
 TEST_F(LadderTest, DeadlineEarlierOfPicksTighterBudget) {
   const auto unlimited = robust::Deadline();
   const auto soon = robust::Deadline::After(std::chrono::microseconds(0));

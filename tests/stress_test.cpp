@@ -448,13 +448,14 @@ TEST(MetricsStress, HistogramMergeHammer) {
 }
 
 // ------------------------------------------------------------- wal ----
-// The WAL's Append/Sync/DrainAcked entry points are the sanctioned
+// The WAL's Append/DrainAcked entry points are the sanctioned
 // CFSF_BLOCKING boundary on the rate ack path (lint v4's
 // blocking-call-on-hot-path / ack-before-durable contracts).  Hammer
-// that boundary from concurrent appenders racing an explicit syncer and
-// a drainer: TSan gets real contention on the log's one mutex, the
-// run completing at all exercises the acyclic lock order, and the
-// replay at the end proves every durably acked record survived.
+// that boundary from concurrent appenders, each of which runs the fsync
+// barrier itself (every Append does), racing a drainer and forced
+// segment rotations: TSan gets real contention on the log's one mutex,
+// the run completing at all exercises the acyclic lock order, and the
+// replay at the end proves every acked record survived.
 TEST(WalStress, ConcurrentAppendersSyncerAndDrainerLoseNothing) {
   namespace fs = std::filesystem;
   const std::string dir =
@@ -463,12 +464,11 @@ TEST(WalStress, ConcurrentAppendersSyncerAndDrainerLoseNothing) {
 
   constexpr int kAppenders = 4;
   constexpr int kRecordsEach = 200;
+  constexpr std::size_t kTotal =
+      static_cast<std::size_t>(kAppenders) * kRecordsEach;
   wal::WalOptions options;
   options.max_segment_bytes = 16 * 1024;  // force rotations mid-hammer
-  options.fsync_policy = wal::FsyncPolicy::kEveryN;
-  options.fsync_every_n = 16;
 
-  std::atomic<std::uint64_t> durable_acks{0};
   std::atomic<std::size_t> drained{0};
   {
     wal::WriteAheadLog log(dir, options);
@@ -476,21 +476,18 @@ TEST(WalStress, ConcurrentAppendersSyncerAndDrainerLoseNothing) {
     std::vector<std::thread> appenders;
     appenders.reserve(kAppenders);
     for (int a = 0; a < kAppenders; ++a) {
-      appenders.emplace_back([&log, &durable_acks, a] {
+      appenders.emplace_back([&log, a] {
         for (int i = 0; i < kRecordsEach; ++i) {
           matrix::RatingTriple record;
           record.user = static_cast<matrix::UserId>(a);
           record.item = static_cast<matrix::ItemId>(i);
           record.value = 3.0F;
           record.timestamp = static_cast<matrix::Timestamp>(i);
-          const wal::AppendAck ack = log.Append(record, (i % 7) == 0);
-          if (ack.durable) durable_acks.fetch_add(1);
+          const wal::AppendAck ack = log.Append(record);
+          EXPECT_GE(log.durable_lsn(), ack.lsn);
         }
       });
     }
-    std::thread syncer([&log, &stop] {
-      while (!stop.load(std::memory_order_relaxed)) log.Sync();
-    });
     std::thread drainer([&log, &stop, &drained] {
       std::vector<wal::AckedRecord> out;
       while (!stop.load(std::memory_order_relaxed)) {
@@ -499,18 +496,18 @@ TEST(WalStress, ConcurrentAppendersSyncerAndDrainerLoseNothing) {
     });
     for (auto& appender : appenders) appender.join();
     stop.store(true, std::memory_order_relaxed);
-    syncer.join();
     drainer.join();
-    EXPECT_GT(durable_acks.load(), 0U);
-    log.Close();  // final barrier: everything appended is now durable
+    // Whatever the drainer had not picked up yet is still waiting.
+    std::vector<wal::AckedRecord> rest;
+    drained.fetch_add(log.DrainAcked(&rest));
+    EXPECT_EQ(drained.load(), kTotal);
+    log.Close();
   }
 
   std::vector<wal::RecoveredRecord> recovered;
   wal::WriteAheadLog reopened(dir, options, &recovered);
-  EXPECT_EQ(recovered.size(),
-            static_cast<std::size_t>(kAppenders) * kRecordsEach);
-  EXPECT_EQ(reopened.durable_lsn(),
-            static_cast<std::uint64_t>(kAppenders) * kRecordsEach);
+  EXPECT_EQ(recovered.size(), kTotal);
+  EXPECT_EQ(reopened.durable_lsn(), kTotal);
   reopened.Close();
   fs::remove_all(dir);
 }

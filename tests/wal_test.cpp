@@ -1,11 +1,10 @@
 // Unit tests for the rating write-ahead log: frame encode/decode,
-// append → replay round trips, segment rotation, fsync policies, the
-// acked-record drain contract and graceful shutdown.  The crash and
+// append → replay round trips, segment rotation, durability on return,
+// the acked-record drain contract and graceful shutdown.  The crash and
 // corruption halves of the contract live in tests/wal_crash_test.cpp
 // (ctest label `fault`).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -174,7 +173,7 @@ TEST_F(WalTest, AppendReplayRoundTripPreservesEveryRecord) {
       written.push_back(MakeRecord(i));
       const wal::AppendAck ack = log.Append(written.back());
       EXPECT_EQ(ack.lsn, i + 1);
-      EXPECT_TRUE(ack.durable);  // default policy: fsync per record
+      EXPECT_EQ(log.durable_lsn(), ack.lsn);
     }
     EXPECT_EQ(log.durable_lsn(), 100u);
   }
@@ -217,49 +216,37 @@ TEST_F(WalTest, ReopeningAppendsAfterTheLastDurableRecord) {
   EXPECT_EQ(wal::ReplayLog(dir_).records.size(), 6u);
 }
 
-TEST_F(WalTest, EveryNPolicyAcksDurablyOnlyAtTheBarrier) {
-  wal::WalOptions options;
-  options.fsync_policy = wal::FsyncPolicy::kEveryN;
-  options.fsync_every_n = 4;
-  wal::WriteAheadLog log(dir_, options);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_FALSE(log.Append(MakeRecord(i)).durable);
-  }
-  EXPECT_EQ(log.durable_lsn(), 0u);
-  EXPECT_TRUE(log.Append(MakeRecord(3)).durable);  // 4th record: barrier
-  EXPECT_EQ(log.durable_lsn(), 4u);
-  // require_durable overrides the batching policy.
-  EXPECT_TRUE(log.Append(MakeRecord(4), /*require_durable=*/true).durable);
-  EXPECT_EQ(log.durable_lsn(), 5u);
-}
-
-TEST_F(WalTest, SyncPromotesBufferedRecordsToAcked) {
-  wal::WalOptions options;
-  options.fsync_policy = wal::FsyncPolicy::kEveryN;
-  options.fsync_every_n = 100;  // never reached
-  wal::WriteAheadLog log(dir_, options);
-  for (std::uint32_t i = 0; i < 5; ++i) log.Append(MakeRecord(i));
+TEST_F(WalTest, EveryAppendIsDurableAndDrainableWhenItReturns) {
+  wal::WriteAheadLog log(dir_);
   std::vector<wal::AckedRecord> drained;
-  EXPECT_EQ(log.DrainAcked(&drained), 0u);  // nothing durable yet
-  log.Sync();
-  EXPECT_EQ(log.durable_lsn(), 5u);
-  EXPECT_EQ(log.DrainAcked(&drained), 5u);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    const wal::AppendAck ack =
+        log.Append(MakeRecord(i), /*require_durable=*/false,
+                   /*request_id=*/100 + i);
+    EXPECT_EQ(ack.lsn, i + 1);
+    EXPECT_FALSE(ack.deduplicated);
+    // Fsynced before it returned, and handed over already.
+    EXPECT_EQ(log.durable_lsn(), ack.lsn);
+    EXPECT_EQ(log.DrainAcked(&drained), 1u);
+  }
   ASSERT_EQ(drained.size(), 5u);
   for (std::size_t i = 0; i < drained.size(); ++i) {
     EXPECT_EQ(drained[i].lsn, i + 1);
     EXPECT_EQ(drained[i].record, MakeRecord(static_cast<std::uint32_t>(i)));
+    EXPECT_EQ(drained[i].request_id, 100 + i);
   }
   // A drain is a move: the records are handed over exactly once.
   std::vector<wal::AckedRecord> again;
   EXPECT_EQ(log.DrainAcked(&again), 0u);
-}
-
-TEST_F(WalTest, TimedPolicySyncsOnceTheIntervalElapses) {
-  wal::WalOptions options;
-  options.fsync_policy = wal::FsyncPolicy::kTimed;
-  options.fsync_interval = std::chrono::milliseconds(0);  // always elapsed
-  wal::WriteAheadLog log(dir_, options);
-  EXPECT_TRUE(log.Append(MakeRecord(0)).durable);
+  // A dedup hit re-acks the original lsn and drains nothing.
+  const wal::AppendAck retry =
+      log.Append(MakeRecord(2), /*require_durable=*/false,
+                 /*request_id=*/102);
+  EXPECT_TRUE(retry.deduplicated);
+  EXPECT_EQ(retry.lsn, 3u);
+  EXPECT_EQ(log.durable_lsn(), 5u);
+  EXPECT_EQ(log.next_lsn(), 6u);
+  EXPECT_EQ(log.DrainAcked(&again), 0u);
 }
 
 TEST_F(WalTest, ValidationRejectsAbsurdOptions) {
@@ -320,7 +307,7 @@ TEST_F(WalTest, ReopeningAV1LogSealsTheTailAndAppendsIntoAV2Segment) {
     for (std::uint32_t i = 3; i < 6; ++i) {
       const wal::AppendAck ack = log.Append(MakeRecord(i));
       EXPECT_EQ(ack.lsn, i + 1);
-      EXPECT_TRUE(ack.durable);
+      EXPECT_EQ(log.durable_lsn(), ack.lsn);
     }
   }
 

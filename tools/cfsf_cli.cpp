@@ -660,8 +660,9 @@ int CmdWalDump(util::ArgParser& args) {
 
 // `ckpt-ls`: list a checkpoint directory — one line per checkpoint with
 // its manifest watermark and the bundle's verify status (the same full
-// CRC pass recovery runs), plus which id `CURRENT` points at.  Exits 1
-// when any listed checkpoint fails verification, so scripts can alarm.
+// CRC pass recovery runs, which starts from the newest `ok` line).
+// Exits 1 when any listed checkpoint fails verification, so scripts can
+// alarm.
 int CmdCkptLs(util::ArgParser& args) {
   const std::string dir = args.GetString("dir", "");
   args.RejectUnknown();
@@ -670,8 +671,6 @@ int CmdCkptLs(util::ArgParser& args) {
     return 2;
   }
   namespace fs = std::filesystem;
-  std::uint64_t current = 0;
-  const bool have_current = ckpt::ReadCurrentFile(dir, &current);
   const std::vector<std::uint64_t> ids = ckpt::ListCheckpointIds(dir);
   bool all_ok = true;
   for (const std::uint64_t id : ids) {
@@ -694,21 +693,13 @@ int CmdCkptLs(util::ArgParser& args) {
     }
     if (verify != "ok") all_ok = false;
     std::printf("ckpt %-8llu watermark %-10llu generation %-6llu "
-                "%8llu byte(s)  %s%s\n",
+                "%8llu byte(s)  %s\n",
                 static_cast<unsigned long long>(id),
                 static_cast<unsigned long long>(manifest.watermark_lsn),
                 static_cast<unsigned long long>(manifest.generation),
-                static_cast<unsigned long long>(bytes), verify.c_str(),
-                have_current && id == current ? "  <- CURRENT" : "");
+                static_cast<unsigned long long>(bytes), verify.c_str());
   }
-  if (have_current &&
-      std::find(ids.begin(), ids.end(), current) == ids.end()) {
-    std::printf("CURRENT points at missing checkpoint %llu\n",
-                static_cast<unsigned long long>(current));
-    all_ok = false;
-  }
-  std::printf("%zu checkpoint(s)%s\n", ids.size(),
-              have_current ? "" : "; no CURRENT pointer");
+  std::printf("%zu checkpoint(s)\n", ids.size());
   return all_ok ? 0 : 1;
 }
 
