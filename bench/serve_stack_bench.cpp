@@ -4,7 +4,7 @@
 //   calm   — no failpoints armed; measures the happy-path overhead of
 //            admission control + breaker accounting on top of the ladder
 //   chaos  — the standard chaos-soak schedule (cfsf.predict and friends
-//            armed probabilistically) with a hot model swap mid-traffic;
+//            armed probabilistically) with a fold publish mid-traffic;
 //            measures degraded throughput and verifies the resilience
 //            invariants under the same load
 //
@@ -14,13 +14,11 @@
 // report additionally snapshots the whole metrics registry.
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hpp"
 #include "core/cfsf.hpp"
-#include "core/model_io.hpp"
 #include "data/synthetic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -52,14 +50,10 @@ int main(int argc, char** argv) try {
   config.top_m_items = ctx.smoke ? 15 : 40;
   config.top_k_users = ctx.smoke ? 8 : 15;
 
-  const std::string swap_file =
-      (std::filesystem::temp_directory_path() / "cfsf_serve_bench_swap.bin")
-          .string();
   serve::ModelGeneration models;
   {
     auto model = std::make_unique<core::CfsfModel>(config);
     model->Fit(data::GenerateSynthetic(dconfig));
-    core::SaveModel(*model, swap_file);
     models.Install(std::move(model));
   }
 
@@ -86,10 +80,12 @@ int main(int argc, char** argv) try {
           {"serve.worker", 0.05},
           {"serve.admit", 0.02},
       };
-      core::LoadRetryOptions retry;
-      retry.initial_backoff = std::chrono::milliseconds(1);
-      regime_soak.mid_traffic = [&models, &swap_file, retry] {
-        models.LoadAndSwap(swap_file, retry);
+      // The publish a DeltaFolder performs: the active model folded
+      // with a small rating batch.
+      regime_soak.mid_traffic = [&models] {
+        const std::vector<matrix::RatingTriple> batch = {
+            {0, 0, 5.0F, 0}, {1, 1, 4.0F, 0}, {2, 2, 3.0F, 0}};
+        models.Install(models.Active()->model().WithRatings(batch));
       };
     }
     util::Stopwatch watch;

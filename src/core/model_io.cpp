@@ -9,10 +9,7 @@
 #include <string_view>
 #include <system_error>
 
-#include "obs/metrics.hpp"
-#include "obs/names.hpp"
 #include "obs/failpoint.hpp"
-#include "util/backoff.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 
@@ -36,12 +33,21 @@ void WritePod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
+// Thrown by a read past a section's end.  The message is a static
+// string: GCC 12's -fanalyzer reports the std::string temporary of
+// `throw IoError("...")` as leaked (the false-positive class
+// tools/cfsf_lint_allow.txt documents).
+[[noreturn]] void ThrowTruncated() {
+  static const std::string kMessage = "model file truncated";
+  throw util::IoError(kMessage);
+}
+
 template <typename T>
 T ReadPod(std::istream& in) {
   static_assert(std::is_trivially_copyable_v<T>);
   T value{};
   in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw util::IoError("model file truncated");
+  if (!in) ThrowTruncated();
   return value;
 }
 
@@ -58,20 +64,22 @@ void WriteVector(std::ostream& out, const std::vector<T>& v) {
   }
 }
 
+// Fills `*out` rather than returning the vector: the same analyzer
+// reports a returned vector's slot as an uninitialized value.
 template <typename T>
-std::vector<T> ReadVector(std::istream& in, std::uint64_t sanity_cap) {
+void ReadVector(std::istream& in, std::uint64_t sanity_cap,
+                std::vector<T>* out) {
   const std::uint64_t size = ReadU64(in);
   if (size > sanity_cap) {
     throw util::IoError("model file corrupt: implausible vector size " +
                         std::to_string(size));
   }
-  std::vector<T> v(size);
+  out->resize(size);
   if (size != 0) {
-    in.read(reinterpret_cast<char*>(v.data()),
+    in.read(reinterpret_cast<char*>(out->data()),
             static_cast<std::streamsize>(size * sizeof(T)));
-    if (!in) throw util::IoError("model file truncated");
+    if (!in) ThrowTruncated();
   }
-  return v;
 }
 
 // WriteVector for rating triples, with RatingTriple's padding (the 4
@@ -135,8 +143,8 @@ CfsfConfig ReadConfig(std::istream& in) {
   c.lambda = ReadPod<double>(in);
   c.delta = ReadPod<double>(in);
   c.epsilon = ReadPod<double>(in);
-  // Configs this code cannot honour are refused as ConfigError, which
-  // LoadModelWithRetry does not retry.
+  // Configs this code cannot honour are refused as ConfigError, not as
+  // a corrupt file: the bytes are intact, the code cannot serve them.
   const auto kernel = ReadPod<std::uint32_t>(in);
   CFSF_REQUIRE(kernel == static_cast<std::uint32_t>(sim::ItemKernel::kPearson) ||
                    kernel == static_cast<std::uint32_t>(sim::ItemKernel::kCosine),
@@ -168,7 +176,7 @@ CfsfConfig ReadConfig(std::istream& in) {
   return c;
 }
 
-// --- section serialization (shared by v1 and v2 writers) ----------------
+// --- section serialization ---------------------------------------------
 
 std::array<std::string, kNumSections> SerializeSections(
     const CfsfModel& model) {
@@ -236,7 +244,7 @@ void WriteAtomically(const std::string& path, WriteBody&& body) {
   }
 }
 
-// --- in-memory bundle walking (v2) --------------------------------------
+// --- in-memory bundle walking -------------------------------------------
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -260,11 +268,11 @@ struct SectionView {
   std::uint32_t crc = 0;
 };
 
-// Validates the framing and checksums of a v2 bundle held in memory
+// Validates the framing and checksums of a bundle held in memory
 // (header already checked) and returns views of the section payloads.
 // Every corruption error names the section it was detected in.
-std::array<SectionView, kNumSections> WalkV2Sections(std::string_view data) {
-  // Smallest possible v2 bundle: header + four empty framed sections +
+std::array<SectionView, kNumSections> WalkSections(std::string_view data) {
+  // Smallest possible bundle: header + four empty framed sections +
   // the whole-file trailer.
   if (data.size() < kHeaderBytes + kNumSections * 12 + 4) {
     throw util::IoError("model file truncated in section `config`");
@@ -319,45 +327,7 @@ std::istringstream SectionStream(SectionView section) {
   return std::istringstream(std::string(section.payload), std::ios::binary);
 }
 
-// --- shared structural parse --------------------------------------------
-
-// The post-header body of a v1 bundle (the four sections back to back,
-// unframed).  With build=false only the structural/consistency checks
-// run — that is VerifyModel's v1 path.
-std::unique_ptr<CfsfModel> ParseV1Body(std::istream& in, bool build) {
-  const CfsfConfig config = ReadConfig(in);
-
-  const std::uint64_t num_users = ReadU64(in);
-  const std::uint64_t num_items = ReadU64(in);
-  if (num_users > kSanityCap || num_items > kSanityCap) {
-    throw util::IoError("model file corrupt: implausible matrix shape");
-  }
-  const auto triples = ReadVector<matrix::RatingTriple>(in, kSanityCap);
-  matrix::RatingMatrixBuilder builder(num_users, num_items);
-  for (const auto& t : triples) builder.Add(t);
-  auto train = builder.Build();
-
-  const std::uint64_t gis_items = ReadU64(in);
-  if (gis_items != num_items) {
-    throw util::IoError("model file corrupt: GIS shape mismatch");
-  }
-  std::vector<std::vector<sim::Neighbor>> rows(gis_items);
-  for (auto& row : rows) row = ReadVector<sim::Neighbor>(in, kSanityCap);
-
-  auto assignments = ReadVector<std::uint32_t>(in, kSanityCap);
-  if (assignments.size() != num_users) {
-    throw util::IoError("model file corrupt: assignment count mismatch");
-  }
-  if (in.peek() != std::char_traits<char>::eof()) {
-    throw util::IoError("model file corrupt: trailing bytes after sections");
-  }
-  if (!build) return nullptr;
-  auto gis = sim::GlobalItemSimilarity::FromRows(std::move(rows), config.gis);
-  return CfsfModel::Restore(config, std::move(train), std::move(gis),
-                            std::move(assignments));
-}
-
-std::unique_ptr<CfsfModel> BuildFromV2Sections(
+std::unique_ptr<CfsfModel> BuildFromSections(
     const std::array<SectionView, kNumSections>& sections) {
   auto config_in = SectionStream(sections[0]);
   const CfsfConfig config = ReadConfig(config_in);
@@ -368,7 +338,8 @@ std::unique_ptr<CfsfModel> BuildFromV2Sections(
   if (num_users > kSanityCap || num_items > kSanityCap) {
     throw util::IoError("model file corrupt: implausible matrix shape");
   }
-  const auto triples = ReadVector<matrix::RatingTriple>(matrix_in, kSanityCap);
+  std::vector<matrix::RatingTriple> triples;
+  ReadVector(matrix_in, kSanityCap, &triples);
   matrix::RatingMatrixBuilder builder(num_users, num_items);
   for (const auto& t : triples) builder.Add(t);
   auto train = builder.Build();
@@ -379,11 +350,12 @@ std::unique_ptr<CfsfModel> BuildFromV2Sections(
     throw util::IoError("model file corrupt: GIS shape mismatch");
   }
   std::vector<std::vector<sim::Neighbor>> rows(gis_items);
-  for (auto& row : rows) row = ReadVector<sim::Neighbor>(gis_in, kSanityCap);
+  for (auto& row : rows) ReadVector(gis_in, kSanityCap, &row);
   auto gis = sim::GlobalItemSimilarity::FromRows(std::move(rows), config.gis);
 
   auto assignments_in = SectionStream(sections[3]);
-  auto assignments = ReadVector<std::uint32_t>(assignments_in, kSanityCap);
+  std::vector<std::uint32_t> assignments;
+  ReadVector(assignments_in, kSanityCap, &assignments);
   if (assignments.size() != num_users) {
     throw util::IoError("model file corrupt: assignment count mismatch");
   }
@@ -391,9 +363,8 @@ std::unique_ptr<CfsfModel> BuildFromV2Sections(
                             std::move(assignments));
 }
 
-// Header validation shared by LoadModel and VerifyModel; returns the
-// format version.
-std::uint32_t CheckHeader(std::string_view data, const std::string& path) {
+// Header validation shared by LoadModel and VerifyModel.
+void CheckHeader(std::string_view data, const std::string& path) {
   if (data.size() < kHeaderBytes) {
     throw util::IoError("model file truncated in header: " + path);
   }
@@ -402,12 +373,10 @@ std::uint32_t CheckHeader(std::string_view data, const std::string& path) {
   }
   std::uint32_t version = 0;
   std::memcpy(&version, data.data() + sizeof(kMagic), sizeof(version));
-  if (version != kModelFormatVersion &&
-      version != kLegacyModelFormatVersion) {
+  if (version != kModelFormatVersion) {
     throw util::IoError("unsupported model format version " +
                         std::to_string(version));
   }
-  return version;
 }
 
 }  // namespace
@@ -438,74 +407,19 @@ void SaveModel(const CfsfModel& model, const std::string& path) {
   });
 }
 
-void SaveModelLegacyV1(const CfsfModel& model, const std::string& path) {
-  CFSF_REQUIRE(model.fitted(), "SaveModel requires a fitted model");
-  const auto sections = SerializeSections(model);
-  WriteAtomically(path, [&](std::ostream& out) {
-    CFSF_FAILPOINT("model_io.save.write");
-    out.write(kMagic, sizeof(kMagic));
-    WritePod(out, kLegacyModelFormatVersion);
-    for (const auto& payload : sections) {
-      out.write(payload.data(),
-                static_cast<std::streamsize>(payload.size()));
-    }
-  });
-}
-
 std::unique_ptr<CfsfModel> LoadModel(const std::string& path) {
   const std::string data = ReadFileBytes(path);
-  const std::uint32_t version = CheckHeader(data, path);
-  if (version == kLegacyModelFormatVersion) {
-    std::istringstream in(data.substr(kHeaderBytes), std::ios::binary);
-    return ParseV1Body(in, /*build=*/true);
-  }
-  return BuildFromV2Sections(WalkV2Sections(data));
-}
-
-std::unique_ptr<CfsfModel> LoadModelWithRetry(const std::string& path,
-                                              const LoadRetryOptions& options) {
-  CFSF_REQUIRE(options.max_attempts > 0,
-               "LoadModelWithRetry: max_attempts must be positive");
-  CFSF_REQUIRE(options.backoff_multiplier >= 1.0,
-               "LoadModelWithRetry: backoff_multiplier must be >= 1");
-  CFSF_REQUIRE(options.jitter >= 0.0 && options.jitter < 1.0,
-               "LoadModelWithRetry: jitter must be in [0, 1)");
-  auto& registry = obs::MetricsRegistry::Global();
-  auto& retries = registry.GetCounter(obs::names::kRobustLoadRetry);
-  auto& giveups = registry.GetCounter(obs::names::kRobustLoadGiveup);
-  util::BackoffOptions backoff_options;
-  backoff_options.initial = options.initial_backoff;
-  backoff_options.multiplier = options.backoff_multiplier;
-  backoff_options.jitter = options.jitter;
-  backoff_options.seed = options.jitter_seed;
-  util::Backoff backoff(backoff_options);
-  for (std::size_t attempt = 1;; ++attempt) {
-    try {
-      return LoadModel(path);
-    } catch (const util::IoError&) {
-      if (attempt >= options.max_attempts) {
-        giveups.Increment();
-        throw;
-      }
-    }
-    retries.Increment();
-    backoff.SleepNext();
-  }
+  CheckHeader(data, path);
+  return BuildFromSections(WalkSections(data));
 }
 
 VerifyReport VerifyModel(const std::string& path) {
   const std::string data = ReadFileBytes(path);
   VerifyReport report;
   report.file_bytes = data.size();
-  report.version = CheckHeader(data, path);
-  if (report.version == kLegacyModelFormatVersion) {
-    // v1 carries no checksums; a full structural parse is the best
-    // verification available.
-    std::istringstream in(data.substr(kHeaderBytes), std::ios::binary);
-    ParseV1Body(in, /*build=*/false);
-    return report;
-  }
-  const auto sections = WalkV2Sections(data);
+  CheckHeader(data, path);
+  report.version = kModelFormatVersion;
+  const auto sections = WalkSections(data);
   report.sections.reserve(kNumSections);
   for (std::size_t i = 0; i < kNumSections; ++i) {
     report.sections.push_back(VerifyReport::Section{

@@ -14,8 +14,9 @@
 // then every connection worker finishes the request it is reading or
 // serving — a request with bytes already buffered is completed and
 // answered with `Connection: close` — before the sockets close.  This
-// is the network half of the hot-swap story: a ModelGeneration swap
-// never kills an in-flight response, and neither does a server drain.
+// is the network half of the generation story: installing a new
+// ModelGeneration never kills an in-flight response, and neither does
+// a server drain.
 //
 // Slow-read (slowloris) defense: a request may not stay partially
 // received longer than `read_timeout`, measured from its first byte —

@@ -94,16 +94,6 @@ BodyParse Malformed(const std::string& why) {
   return parse;
 }
 
-const char* RungName(robust::PredictionRung rung) {
-  switch (rung) {
-    case robust::PredictionRung::kFull: return "full";
-    case robust::PredictionRung::kSir: return "sir";
-    case robust::PredictionRung::kUserMean: return "user_mean";
-    case robust::PredictionRung::kGlobalMean: return "global_mean";
-  }
-  return "unknown";
-}
-
 /// Shared envelope prefix of every response document.
 void WriteEnvelope(obs::JsonWriter& json, const serve::Response& response) {
   json.Key("status").String(serve::ToString(response.code));
@@ -286,7 +276,7 @@ std::string RenderResponseJson(serve::Request::Kind kind,
         json.Key("user").Uint(prediction.user);
         json.Key("item").Uint(prediction.item);
         json.Key("value").Double(prediction.value);
-        json.Key("rung").String(RungName(prediction.rung));
+        json.Key("rung").String(robust::ToString(prediction.rung));
         json.Key("deadline_overrun").Bool(prediction.deadline_overrun);
         json.EndObject();
       }

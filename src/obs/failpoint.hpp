@@ -10,8 +10,9 @@
 // load of a process-wide armed count (no lock, no map lookup, no clock).
 // Tests and CI arm points through the API or the CFSF_FAILPOINTS
 // environment variable; an armed point that trips throws InjectedFault
-// (an util::IoError), which the regular error paths — LoadModelWithRetry,
-// ThreadPool::Wait, robust::FallbackPredictor — must survive.
+// (an util::IoError), which the regular error paths — ckpt::Recover's
+// checkpoint ladder, ThreadPool::Wait, robust::FallbackPredictor — must
+// survive.
 //
 // Trigger grammar (one per point):
 //   always        trip on every evaluation

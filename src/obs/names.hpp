@@ -54,9 +54,8 @@ inline constexpr const char kServeBreakerRecoveries[] =
 inline constexpr const char kServeBreakerProbes[] = "serve.breaker.probes";
 inline constexpr const char kServeBreakerLevel[] = "serve.breaker.level";
 
-// --- model hot swap (src/serve/model_generation.cpp) -----------------------
+// --- model generations (src/serve/model_generation.cpp) --------------------
 inline constexpr const char kServeSwapCount[] = "serve.swap.count";
-inline constexpr const char kServeSwapFailures[] = "serve.swap.failures";
 inline constexpr const char kServeGeneration[] = "serve.generation";
 
 // --- network front end (src/net/server.cpp, src/net/service.cpp) ----------
@@ -103,7 +102,7 @@ inline constexpr const char kCkptRecoveryUs[] = "ckpt.recovery_us";
 inline constexpr const char kCkptRecoveryFallbacks[] =
     "ckpt.recovery.fallbacks";
 
-// --- robustness (src/robust/, src/obs/failpoint.cpp, src/core/model_io.cpp)
+// --- robustness (src/robust/, src/obs/failpoint.cpp) -----------------------
 inline constexpr const char kRobustFailpointTrips[] = "robust.failpoint_trips";
 inline constexpr const char kRobustFallbackSir[] = "robust.fallback.sir";
 inline constexpr const char kRobustFallbackUserMean[] =
@@ -112,8 +111,6 @@ inline constexpr const char kRobustFallbackGlobalMean[] =
     "robust.fallback.global_mean";
 inline constexpr const char kRobustDeadlineOverruns[] =
     "robust.deadline_overruns";
-inline constexpr const char kRobustLoadRetry[] = "robust.load.retry";
-inline constexpr const char kRobustLoadGiveup[] = "robust.load.giveup";
 
 // --- model (src/core/cfsf_model.cpp) ---------------------------------------
 inline constexpr const char kCfsfFitCount[] = "cfsf.fit.count";
@@ -166,9 +163,9 @@ inline constexpr FailPointInfo kFailPoints[] = {
     {"model_io.save.write", "inside the atomic-save body",
      "target left intact"},
     {"model_io.load.open", "`LoadModel` open",
-     "retried by `LoadModelWithRetry`"},
+     "`IoError`; `ckpt::Recover` falls back to the previous checkpoint"},
     {"model_io.load.read", "`LoadModel` whole-file read",
-     "retried by `LoadModelWithRetry`"},
+     "`IoError`; `ckpt::Recover` falls back to the previous checkpoint"},
     {"threadpool.task", "worker task dispatch",
      "rethrown at `Wait()`; an HTTP connection it hits is closed"},
     {"cfsf.fit", "`CfsfModel::Fit` entry", "model stays unfitted"},
@@ -177,8 +174,6 @@ inline constexpr FailPointInfo kFailPoints[] = {
     {"serve.admit", "`ServingStack` admission", "request shed (`kShed`)"},
     {"serve.worker", "`ServingStack` request body, on the caller's thread",
      "`kInternal` result; stack survives"},
-    {"serve.swap.load", "`ModelGeneration::LoadAndSwap`",
-     "old generation keeps serving"},
     {"serve.fold", "`DeltaFolder::FoldOnce`, before `WithRatings`",
      "batch kept and folded first next cycle; watermark stays below it"},
     {"net.accept", "`HttpServer` accept loop",

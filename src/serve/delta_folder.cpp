@@ -57,20 +57,20 @@ DeltaFolder::DeltaFolder(wal::WriteAheadLog& log, ModelGeneration& models,
 DeltaFolder::~DeltaFolder() { Stop(); }
 
 std::uint64_t DeltaFolder::PublishNow() {
-  std::shared_ptr<core::CfsfModel> model;
+  std::uint64_t generation = 0;
   {
     util::MutexLock lock(&mutex_);
-    model = model_;
     ++publishes_;
+    generation = models_.Install(model_);
   }
   FoldMetrics::Instance().publishes.Increment();
-  return models_.Install(std::move(model));
+  return generation;
 }
 
 std::size_t DeltaFolder::FoldOnce() {
   FoldMetrics& metrics = FoldMetrics::Instance();
   std::vector<matrix::RatingTriple> ratings;
-  std::shared_ptr<core::CfsfModel> published;
+  bool published = false;
   std::size_t drained = 0;
   std::size_t skipped = 0;
   std::uint64_t skipped_total = 0;
@@ -106,8 +106,12 @@ std::size_t DeltaFolder::FoldOnce() {
         metrics.failures.Increment();
         throw;
       }
-      published = model_;
       ++publishes_;
+      // Installed under the folder lock (order: folder, then
+      // generation), so generations go live in fold order: a concurrent
+      // FoldOnce or PublishNow can never install an older model last.
+      models_.Install(model_);
+      published = true;
     }
     folded_ += ratings.size();
     skipped_ += skipped;
@@ -137,8 +141,7 @@ std::size_t DeltaFolder::FoldOnce() {
                   << " total); they are durable but will never fold — "
                      "enrol the users/items or expect a stale backlog";
   }
-  if (published != nullptr) {
-    models_.Install(std::move(published));
+  if (published) {
     metrics.publishes.Increment();
     metrics.staleness_us.Set(std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - oldest_ack)

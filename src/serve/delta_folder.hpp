@@ -4,11 +4,13 @@
 // durable, this folder makes it *visible*.  A background thread drains
 // the log's acked queue, folds each drained batch with one
 // CfsfModel::WithRatings call (no K-means restart) and publishes the
-// new immutable model through ModelGeneration::Install, the same
-// hot-swap path the mid-traffic soak already proves.  The folder keeps
-// a shared pointer to the model it last published as the base of the
-// next fold; it never mutates or copies a model.  Requests in flight
-// keep the generation they pinned; the next request sees the fold.
+// new immutable model through ModelGeneration::Install, the only way a
+// generation becomes active.  The install happens under the folder's
+// lock, so generations go live in fold order even when FoldOnce and
+// PublishNow race.  The folder keeps a shared pointer to the model it
+// last published as the base of the next fold; it never mutates or
+// copies a model.  Requests in flight keep the generation they pinned;
+// the next request sees the fold.
 //
 // Staleness — the time from a record's durable ack to the generation
 // swap that makes it predictable — is first-class: each publish sets
@@ -36,10 +38,10 @@
 // unfoldable, so replaying it after a restart changes nothing; a record
 // of a failed fold is neither, so the watermark stays below it) — and
 // Snapshot() returns {last published model, watermark} under one lock,
-// the consistent pair ckpt::CheckpointManager persists.  It is not
-// ModelGeneration::Active(): a bundle swapped in by LoadAndSwap holds
-// none of the folded records, so checkpointing it at the fold watermark
-// would lose acked ratings once compaction runs.
+// the consistent pair ckpt::CheckpointManager persists.  With the
+// folder as the generation's only publisher (as in `cfsf_cli serve`),
+// that model is the one ModelGeneration::Active() serves; reading it
+// here keeps the model and its watermark one pair.
 #pragma once
 
 #include <chrono>

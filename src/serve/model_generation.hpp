@@ -1,29 +1,26 @@
-// Hot model swap — the active model generation behind an atomic
-// shared_ptr swap.
+// The active model generation behind an atomic shared_ptr swap.
 //
-// The paper's offline/online split means serving processes periodically
-// receive a freshly fitted bundle from the backend.  ModelGeneration
-// makes that replacement downtime-free: the expensive part (CRC audit +
-// LoadModelWithRetry + smoothing reconstruction) runs on the swapping
-// thread, completely off the request path; only the final pointer swap
-// takes the lock, and in-flight requests keep the generation they
-// grabbed alive through shared ownership until the last one drains.
+// In CFSF the offline phase builds the model and the online phase
+// changes it only by inserting ratings (Section IV-A).  So a generation
+// becomes active in exactly one way, Install, and has exactly two
+// sources: the model `cfsf_cli serve` boots or recovers (ckpt::Recover),
+// and each model a DeltaFolder folds and publishes.  Building the model
+// happens off the request path; Install only wraps it in the
+// degradation ladder and swaps the pointer under a short lock.  In-flight
+// requests keep the generation they grabbed alive through shared
+// ownership until the last one drains.
 //
-//   swap thread:  VerifyModel → LoadModelWithRetry → build ladder → swap
+//   publisher:    fit / Recover / WithRatings → Install
 //   request path: Active() — one shared_ptr copy under a short lock
 //
-// A failed load (corrupt bundle, injected fault after retries) leaves
-// the previous generation serving and is counted in serve.swap.failures;
-// a successful swap bumps serve.swap.count and the serve.generation
-// gauge.
+// Every Install bumps serve.swap.count and sets the serve.generation
+// gauge to the new id.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "core/cfsf_model.hpp"
-#include "core/model_io.hpp"
 #include "robust/fallback.hpp"
 #include "util/mutex.hpp"
 
@@ -37,11 +34,8 @@ namespace cfsf::serve {
 class ServableModel {
  public:
   ServableModel(std::shared_ptr<core::CfsfModel> model,
-                const robust::FallbackOptions& ladder_options,
                 std::uint64_t generation)
-      : model_(std::move(model)),
-        ladder_(*model_, ladder_options),
-        generation_(generation) {}
+      : model_(std::move(model)), ladder_(*model_), generation_(generation) {}
 
   const robust::FallbackPredictor& ladder() const { return ladder_; }
   const core::CfsfModel& model() const { return *model_; }
@@ -56,33 +50,18 @@ class ServableModel {
 
 class ModelGeneration {
  public:
-  /// `ladder_options` applies to every generation's FallbackPredictor.
-  explicit ModelGeneration(const robust::FallbackOptions& ladder_options = {})
-      : ladder_options_(ladder_options) {}
-
-  /// Installs an already-fitted in-memory model (tests, first boot from
-  /// a fit in the same process, fold publishes).  Returns the new
-  /// generation id.
+  /// Makes `model` the active generation — the only way one becomes
+  /// active.  Returns the new generation id (1 for the first).
   std::uint64_t Install(std::shared_ptr<core::CfsfModel> model)
       CFSF_EXCLUDES(mutex_);
 
-  /// Loads `path` (CRC-audited via VerifyModel, transient faults
-  /// absorbed by LoadModelWithRetry) and swaps it in.  Runs entirely off
-  /// the request path; throws util::IoError on an unloadable bundle, in
-  /// which case the previous generation keeps serving untouched.
-  /// Returns the new generation id.
-  std::uint64_t LoadAndSwap(const std::string& path,
-                            const core::LoadRetryOptions& retry = {})
-      CFSF_EXCLUDES(mutex_);
-
-  /// The active generation; nullptr before the first Install/LoadAndSwap.
+  /// The active generation; nullptr before the first Install.
   std::shared_ptr<const ServableModel> Active() const CFSF_EXCLUDES(mutex_);
 
   /// Id of the active generation (0 when none).
   std::uint64_t ActiveGeneration() const CFSF_EXCLUDES(mutex_);
 
  private:
-  const robust::FallbackOptions ladder_options_;
   mutable util::Mutex mutex_;
   std::shared_ptr<const ServableModel> active_ CFSF_GUARDED_BY(mutex_);
   std::uint64_t next_generation_ CFSF_GUARDED_BY(mutex_) = 1;

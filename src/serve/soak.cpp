@@ -84,7 +84,7 @@ std::vector<std::string> SoakReport::InvariantFailures(
     failures.push_back("no request succeeded at all");
   }
   if (mid_traffic_failed) {
-    failures.push_back("the mid-traffic hook (hot swap) threw");
+    failures.push_back("the mid-traffic hook (fold publish) threw");
   }
   return failures;
 }

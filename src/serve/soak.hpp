@@ -13,8 +13,9 @@
 //   phase 3  recovery failpoints disarmed; half-open probes climb the
 //                     breaker back up while traffic continues.  The
 //                     optional mid_traffic hook runs here on the
-//                     coordinator thread — the natural place for a hot
-//                     model swap to prove it completes mid-traffic.
+//                     coordinator thread — the natural place for a
+//                     fold publish to prove a new generation goes live
+//                     mid-traffic.
 //
 // Invariants checked by SoakReport::InvariantFailures:
 //   * every request resolved (no stuck clients — the run completing at
@@ -62,8 +63,9 @@ struct SoakOptions {
   /// Failpoints armed during the chaos phase only.
   std::vector<ChaosPoint> chaos;
   /// Runs once on the coordinator thread while phase-3 clients are in
-  /// flight (e.g. a ModelGeneration::LoadAndSwap to prove hot swap works
-  /// mid-traffic).  Exceptions are swallowed into swap_failed.
+  /// flight (e.g. ModelGeneration::Install of the active model folded
+  /// with a batch of ratings, the publish a DeltaFolder performs).
+  /// Exceptions are swallowed into mid_traffic_failed.
   std::function<void()> mid_traffic;
 };
 

@@ -1,35 +1,8 @@
 #include "util/backoff.hpp"
 
-#include <algorithm>
 #include <thread>
 
-#include "util/error.hpp"
-
 namespace cfsf::util {
-
-Backoff::Backoff(const BackoffOptions& options)
-    : options_(options),
-      rng_(options.seed),
-      current_ms_(
-          std::chrono::duration<double, std::milli>(options.initial).count()) {
-  CFSF_REQUIRE(options.multiplier >= 1.0,
-               "Backoff: multiplier must be >= 1");
-  CFSF_REQUIRE(options.jitter >= 0.0 && options.jitter < 1.0,
-               "Backoff: jitter must be in [0, 1)");
-}
-
-std::chrono::duration<double, std::milli> Backoff::NextDelay() {
-  const double cap =
-      std::chrono::duration<double, std::milli>(options_.max).count();
-  const double base = std::min(current_ms_, cap);
-  const double scale =
-      1.0 - options_.jitter + 2.0 * options_.jitter * rng_.NextDouble();
-  current_ms_ = std::min(current_ms_ * options_.multiplier, cap);
-  ++steps_;
-  return std::chrono::duration<double, std::milli>(base * scale);
-}
-
-void Backoff::SleepNext() { SleepFor(NextDelay()); }
 
 void SleepFor(std::chrono::duration<double, std::milli> duration) {
   if (duration.count() <= 0.0) return;

@@ -1,68 +1,19 @@
-// Shared backoff/sleep helper — the one sanctioned way library code
-// waits on wall-clock time.
+// The one sanctioned way library code waits on wall-clock time.
 //
 // Raw std::this_thread::sleep_for in src/ is a lint violation
-// (`naked-sleep-in-library`): an open-coded sleep has no jitter, no
-// growth bound, and is invisible to review.  Retry loops instead hold a
-// util::Backoff, which produces an exponentially growing, jittered,
-// capped delay sequence from a fixed seed — so two processes retrying
-// the same broken file do not thundering-herd in lockstep, and a fault
-// test replays the identical schedule on every run.
-//
-//   util::Backoff backoff({.initial = std::chrono::milliseconds(5)});
-//   while (...) {
-//     try { return Load(path); } catch (const util::IoError&) {}
-//     backoff.SleepNext();   // 5ms, ~10ms, ~20ms, ... (jittered, capped)
-//   }
-//
-// One-off bounded waits that are not retries go through util::SleepFor
-// directly; both live here so every wall-clock wait in the library is
-// greppable from a single site.
+// (`naked-sleep-in-library`): an open-coded sleep is invisible to
+// review.  Every bounded wait in the library (the DeltaFolder's poll,
+// the CheckpointManager's tick) goes through util::SleepFor instead, so
+// each one is greppable from this single site.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-
-#include "util/rng.hpp"
 
 namespace cfsf::util {
 
-struct BackoffOptions {
-  /// First delay; later delays grow by `multiplier` per step.
-  std::chrono::milliseconds initial{5};
-  double multiplier = 2.0;
-  /// Each delay is scaled by a uniform factor in [1-jitter, 1+jitter].
-  double jitter = 0.25;
-  /// Hard cap on a single (pre-jitter) delay.
-  std::chrono::milliseconds max{1000};
-  /// Seed of the jitter stream; a fixed seed replays the schedule.
-  std::uint64_t seed = 0x5EED;
-};
-
-/// Deterministic exponential backoff with jitter.  Not thread-safe; each
-/// retry loop owns its own instance.
-class Backoff {
- public:
-  explicit Backoff(const BackoffOptions& options = {});
-
-  /// The next delay in the sequence (advances the state).
-  std::chrono::duration<double, std::milli> NextDelay();
-
-  /// NextDelay() + SleepFor() in one step.
-  void SleepNext();
-
-  /// Number of delays produced so far.
-  std::uint64_t steps() const { return steps_; }
-
- private:
-  BackoffOptions options_;
-  Rng rng_;
-  double current_ms_;
-  std::uint64_t steps_ = 0;
-};
-
-/// The shared sleep primitive behind Backoff — the single call site the
-/// `naked-sleep-in-library` lint rule funnels library waits through.
+/// Sleeps for `duration`; a no-op when it is not positive.  The single
+/// call site the `naked-sleep-in-library` lint rule funnels library
+/// waits through.
 void SleepFor(std::chrono::duration<double, std::milli> duration);
 
 }  // namespace cfsf::util

@@ -36,14 +36,6 @@ std::uint64_t GetU64(const unsigned char* in) {
 
 }  // namespace
 
-std::size_t RecordBytesFor(std::uint32_t version) {
-  switch (version) {
-    case kLegacyFormatVersion: return kRecordBytesV1;
-    case kFormatVersion: return kRecordBytes;
-    default: return 0;
-  }
-}
-
 void EncodeSegmentHeader(const SegmentHeader& header,
                          unsigned char out[kSegmentHeaderBytes]) {
   std::memcpy(out, kMagic, 4);
@@ -60,10 +52,9 @@ bool DecodeSegmentHeader(const unsigned char in[kSegmentHeaderBytes],
     return false;
   }
   header->version = GetU32(in + 4);
-  if (RecordBytesFor(header->version) == 0) return false;
   header->seq = GetU64(in + 8);
   header->first_lsn = GetU64(in + 16);
-  return true;
+  return header->version == kFormatVersion;
 }
 
 void EncodeRecord(const matrix::RatingTriple& record,
@@ -88,17 +79,6 @@ bool DecodeRecord(const unsigned char in[kRecordBytes],
   std::memcpy(&record->value, &rating_bits, sizeof(record->value));
   record->timestamp = static_cast<matrix::Timestamp>(GetU64(in + 12));
   *request_id = GetU64(in + 20);
-  return true;
-}
-
-bool DecodeRecordV1(const unsigned char in[kRecordBytesV1],
-                    matrix::RatingTriple* record) {
-  if (GetU32(in + 20) != util::Crc32(in, kRecordBytesV1 - 4)) return false;
-  record->user = GetU32(in);
-  record->item = GetU32(in + 4);
-  const std::uint32_t rating_bits = GetU32(in + 8);
-  std::memcpy(&record->value, &rating_bits, sizeof(record->value));
-  record->timestamp = static_cast<matrix::Timestamp>(GetU64(in + 12));
   return true;
 }
 

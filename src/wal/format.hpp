@@ -13,14 +13,15 @@
 //
 //   segment header (28 bytes):
 //     "CFWL"            magic
-//     u32  version      kFormatVersion; selects the record frame size
+//     u32  version      kFormatVersion (2); a segment of any other
+//                       version is refused, never read or repaired
 //     u64  seq          segment sequence number (also in the filename)
 //     u64  first_lsn    lsn of the segment's first record — replay
 //                       checks continuity across segments, so a
 //                       missing or duplicated segment is detected
 //     u32  crc32        of the preceding 24 bytes
 //
-//   record frame, version 2 (32 bytes):
+//   record frame (32 bytes):
 //     u32  user
 //     u32  item
 //     f32  rating       IEEE-754 bits
@@ -29,11 +30,6 @@
 //                       of the X-CFSF-Request-Id header, persisted so
 //                       the dedup window survives a restart
 //     u32  crc32        of the preceding 28 bytes
-//
-//   record frame, version 1 (24 bytes, read-only back-compat): the same
-//   without request_id, CRC over the first 20 bytes.  New segments are
-//   always written v2; a log may legitimately mix versions across
-//   segments after an upgrade.
 //
 // Segments are created with the bundle-v2 atomic discipline: header
 // written to `<name>.tmp`, fsynced, renamed, directory fsynced.  A
@@ -50,10 +46,8 @@
 namespace cfsf::wal {
 
 inline constexpr std::uint32_t kFormatVersion = 2;
-inline constexpr std::uint32_t kLegacyFormatVersion = 1;
 inline constexpr std::size_t kSegmentHeaderBytes = 28;
 inline constexpr std::size_t kRecordBytes = 32;
-inline constexpr std::size_t kRecordBytesV1 = 24;
 
 struct SegmentHeader {
   std::uint32_t version = kFormatVersion;
@@ -61,15 +55,13 @@ struct SegmentHeader {
   std::uint64_t first_lsn = 0;
 };
 
-/// Frame size of the records in a segment of `version`; 0 for an
-/// unknown version.
-std::size_t RecordBytesFor(std::uint32_t version);
-
 void EncodeSegmentHeader(const SegmentHeader& header,
                          unsigned char out[kSegmentHeaderBytes]);
 
-/// False on bad magic, unknown version or a CRC mismatch.  Accepts
-/// every version this reader can replay (1 and 2).
+/// False on bad magic, a CRC mismatch or a version other than
+/// kFormatVersion.  A header whose magic and CRC hold is decoded into
+/// `header` even when its version is refused, so the caller can name
+/// that version.
 bool DecodeSegmentHeader(const unsigned char in[kSegmentHeaderBytes],
                          SegmentHeader* header);
 
@@ -79,10 +71,6 @@ void EncodeRecord(const matrix::RatingTriple& record,
 /// False on a CRC mismatch (a torn or corrupted frame).
 bool DecodeRecord(const unsigned char in[kRecordBytes],
                   matrix::RatingTriple* record, std::uint64_t* request_id);
-
-/// Decodes a version-1 (24-byte, no request id) frame.
-bool DecodeRecordV1(const unsigned char in[kRecordBytesV1],
-                    matrix::RatingTriple* record);
 
 /// FNV-1a hash of a client request-id token into the u64 the frame
 /// persists.  The empty token hashes to 0 — "no id, no dedup" — so a

@@ -105,8 +105,7 @@ WriteAheadLog::WriteAheadLog(std::string dir, const WalOptions& options,
   }
   if (recovered != nullptr) *recovered = std::move(replay.records);
   healthy_ = true;
-  if (replay.tail_seq != 0 &&
-      replay.segment_infos.back().version == kFormatVersion) {
+  if (replay.tail_seq != 0) {
     const std::string path =
         (fs::path(dir_) / SegmentFileName(replay.tail_seq)).string();
     fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
@@ -116,12 +115,6 @@ WriteAheadLog::WriteAheadLog(std::string dir, const WalOptions& options,
     }
     segment_seq_ = replay.tail_seq;
     segment_bytes_ = replay.tail_bytes;
-  } else if (replay.tail_seq != 0) {
-    // The tail predates the current format: its header declares a
-    // different frame stride, so appending kRecordBytes frames would
-    // read back as a torn tail and be truncated — losing acked records.
-    // Seal it and append into a fresh current-version segment.
-    CreateSegmentLocked(replay.tail_seq + 1, next_lsn_);
   } else {
     CreateSegmentLocked(1, next_lsn_);
   }

@@ -95,7 +95,13 @@ ReplayResult ReplayLog(const std::string& dir, const ReplayOptions& options) {
     SegmentHeader header;
     if (!DecodeSegmentHeader(
             reinterpret_cast<const unsigned char*>(bytes.data()), &header)) {
-      Corrupt(segment.path, 0, "bad segment header");
+      // Thrown before anything is truncated or removed, so repair mode
+      // leaves a segment of another version exactly as it found it.
+      Corrupt(segment.path, 0,
+              header.version == kFormatVersion
+                  ? "bad segment header"
+                  : "unsupported segment format version " +
+                        std::to_string(header.version));
     }
     if (header.seq != segment.seq) {
       Corrupt(segment.path, 0,
@@ -114,12 +120,8 @@ ReplayResult ReplayLog(const std::string& dir, const ReplayOptions& options) {
                   std::to_string(expected_lsn));
     }
 
-    // The header version selects the frame size, so v1 segments written
-    // before the request-id upgrade replay next to v2 ones.
-    const std::size_t record_bytes = RecordBytesFor(header.version);
     SegmentInfo info;
     info.seq = segment.seq;
-    info.version = header.version;
     info.first_lsn = header.first_lsn;
 
     std::uint64_t offset = kSegmentHeaderBytes;
@@ -128,18 +130,15 @@ ReplayResult ReplayLog(const std::string& dir, const ReplayOptions& options) {
       const std::uint64_t remaining = bytes.size() - offset;
       matrix::RatingTriple record;
       std::uint64_t request_id = 0;
-      const bool whole_frame = remaining >= record_bytes;
-      const unsigned char* frame =
-          reinterpret_cast<const unsigned char*>(bytes.data() + offset);
-      const bool decoded =
-          whole_frame && (header.version == kLegacyFormatVersion
-                              ? DecodeRecordV1(frame, &record)
-                              : DecodeRecord(frame, &record, &request_id));
-      if (decoded) {
+      const bool whole_frame = remaining >= kRecordBytes;
+      if (whole_frame &&
+          DecodeRecord(
+              reinterpret_cast<const unsigned char*>(bytes.data() + offset),
+              &record, &request_id)) {
         result.records.push_back(
             RecoveredRecord{record, expected_lsn, request_id});
         ++expected_lsn;
-        offset += record_bytes;
+        offset += kRecordBytes;
         valid_end = offset;
         ++info.records;
         continue;
@@ -152,7 +151,7 @@ ReplayResult ReplayLog(const std::string& dir, const ReplayOptions& options) {
       }
       result.truncated_bytes = bytes.size() - valid_end;
       result.truncated_records =
-          (result.truncated_bytes + record_bytes - 1) / record_bytes;
+          (result.truncated_bytes + kRecordBytes - 1) / kRecordBytes;
       if (options.repair) {
         TruncateFile(segment.path, valid_end);
       }

@@ -42,8 +42,7 @@ struct ReplayOptions {
 struct RecoveredRecord {
   matrix::RatingTriple record;
   std::uint64_t lsn = 0;
-  /// Client idempotency token persisted in the frame (0 = none; always
-  /// 0 for version-1 segments).
+  /// Client idempotency token persisted in the frame (0 = none).
   std::uint64_t request_id = 0;
 };
 
@@ -51,7 +50,6 @@ struct RecoveredRecord {
 /// these as the per-segment lsn ranges).
 struct SegmentInfo {
   std::uint64_t seq = 0;
-  std::uint32_t version = 0;
   std::uint64_t first_lsn = 0;
   /// Lsn of the segment's last surviving record; first_lsn - 1 when the
   /// segment holds none.
@@ -82,8 +80,10 @@ struct ReplayResult {
 };
 
 /// Scans `dir`.  Throws util::IoError on corruption outside the torn
-/// tail (diagnostic names the segment and offset) and when `dir` does
-/// not exist.  Failpoint: wal.replay (scan entry).
+/// tail (diagnostic names the segment and offset), on a segment whose
+/// format version is not kFormatVersion (names the segment and the
+/// version; nothing on disk is repaired), and when `dir` does not
+/// exist.  Failpoint: wal.replay (scan entry).
 ReplayResult ReplayLog(const std::string& dir, const ReplayOptions& options = {});
 
 }  // namespace cfsf::wal

@@ -12,7 +12,9 @@
 //     bundles: any single damaged file must fall down the recovery
 //     ladder to a state that still covers every appended record —
 //     never a crash, never a silently wrong model;
-//   * armed failpoints: "ckpt.write" and "ckpt.manifest" abort a
+//   * armed failpoints: "model_io.load.open" and "model_io.load.read"
+//     fail the newest checkpoint's load, and recovery falls back to the
+//     previous one; "ckpt.write" and "ckpt.manifest" abort a
 //     checkpoint without ever referencing it; "wal.compact" fail-stops
 //     compaction while checkpoints keep working and the log stays
 //     intact; "serve.fold" fails a fold, whose records the next fold
@@ -440,6 +442,51 @@ TEST_F(CkptCrashTest, CorruptionSweepFallsDownTheLadderNeverWrong) {
 }
 
 // ------------------------------------------------ armed failpoints ----
+
+TEST_F(CkptCrashTest, LoadFaultFallsBackToThePreviousCheckpoint) {
+  // A load fault is not retried: the checkpoint ladder absorbs it.  The
+  // newest checkpoint's bundle cannot be read, so recovery takes the
+  // older one and replays the longer WAL suffix that compaction kept.
+  const std::string golden_wal = root_ + "/golden_wal";
+  const std::string golden_ckpt = root_ + "/golden_ckpt";
+  const std::uint64_t total = BuildGoldenState(golden_wal, golden_ckpt);
+  const std::vector<std::uint64_t> ids = ckpt::ListCheckpointIds(golden_ckpt);
+  ASSERT_EQ(ids.size(), 2u);
+  ckpt::Manifest older;
+  ckpt::Manifest newer;
+  ASSERT_TRUE(ckpt::ReadManifestFile(
+      (fs::path(golden_ckpt) / ckpt::ManifestFileName(ids.front())).string(),
+      &older));
+  ASSERT_TRUE(ckpt::ReadManifestFile(
+      (fs::path(golden_ckpt) / ckpt::ManifestFileName(ids.back())).string(),
+      &newer));
+  ASSERT_LT(older.watermark_lsn, newer.watermark_lsn);
+
+  for (const char* point : {"model_io.load.open", "model_io.load.read"}) {
+    SCOPED_TRACE(point);
+    fs::remove_all(wal_dir_);
+    fs::remove_all(ckpt_dir_);
+    fs::copy(golden_wal, wal_dir_, fs::copy_options::recursive);
+    fs::copy(golden_ckpt, ckpt_dir_, fs::copy_options::recursive);
+    ckpt::RecoverOptions options;
+    options.ckpt_dir = ckpt_dir_;
+    options.wal_dir = wal_dir_;
+    options.seed_model = TinySeed;
+    ckpt::RecoveryResult result;
+    {
+      ScopedFailPoint fp(point, "once");
+      result = ckpt::Recover(options);
+      EXPECT_EQ(FailPointRegistry::Global().TripCount(point), 1u);
+    }
+    EXPECT_EQ(result.info.source, "checkpoint");
+    EXPECT_EQ(result.info.checkpoint_id, ids.front());
+    EXPECT_EQ(result.info.fallbacks, 1u);
+    EXPECT_EQ(result.info.watermark, older.watermark_lsn);
+    EXPECT_EQ(result.info.replayed_records, total - older.watermark_lsn);
+    EXPECT_FALSE(result.info.degraded_history);
+    ExpectFoldedUpTo(*result.model, total);
+  }
+}
 
 struct Pipeline {
   explicit Pipeline(const std::string& wal_dir, const std::string& ckpt_dir)

@@ -4,9 +4,12 @@
 // thread, the CheckpointManager's background checkpoint+compact thread,
 // and a reader hammering the snapshot/status surfaces and predicting
 // through the shared active model — followed by a full consistency
-// audit and a cold recovery of whatever the run left on disk.
+// audit and a cold recovery of whatever the run left on disk.  A second
+// test races FoldOnce against FoldOnce and PublishNow and checks that
+// generations still go live in fold order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -37,11 +40,15 @@ constexpr std::uint32_t kItems = 40;
 constexpr std::size_t kAppenders = 4;
 constexpr std::size_t kAppendsPerThread = 120;
 
-std::unique_ptr<core::CfsfModel> TinySeed() {
+// `max_ratings_per_user` below kItems leaves unrated cells to fold.
+std::unique_ptr<core::CfsfModel> TinySeed(
+    std::size_t max_ratings_per_user = data::SyntheticConfig{}
+                                           .max_ratings_per_user) {
   data::SyntheticConfig dconfig;
   dconfig.num_users = kUsers;
   dconfig.num_items = kItems;
   dconfig.min_ratings_per_user = 8;
+  dconfig.max_ratings_per_user = max_ratings_per_user;
   dconfig.seed = 77;
   core::CfsfConfig config;
   config.num_clusters = 4;
@@ -160,7 +167,7 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
   ckpt::RecoverOptions options;
   options.ckpt_dir = ckpt_dir;
   options.wal_dir = wal_dir;
-  options.seed_model = TinySeed;
+  options.seed_model = [] { return TinySeed(); };
   const ckpt::RecoveryResult result = ckpt::Recover(options);
   EXPECT_FALSE(result.info.degraded_history);
   EXPECT_EQ(result.info.skipped_records, 0u);
@@ -171,6 +178,99 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
   }
   EXPECT_EQ(result.info.replayed_records, past_watermark);
   fs::remove_all(root);
+}
+
+// Every fold of a fresh cell grows the matrix, so with publishes in
+// fold order the served generation's rating count never falls.  Several
+// threads fold, one republishes the folder's model and one appends at a
+// steady pace, while readers spin on the active generation; once
+// everything is folded, the served model must be the one the folder
+// would checkpoint.  The spinning readers keep the generation's lock
+// contended, which is what lets an install that lost the folder's
+// order land late.
+TEST(DeltaFolderStress, ConcurrentFoldsAndPublishesInstallInFoldOrder) {
+  constexpr std::size_t kFolders = 3;
+  constexpr std::size_t kReaders = 2;
+  constexpr std::size_t kFreshCells = 480;
+  const std::string dir =
+      (fs::path(::testing::TempDir()) / "cfsf_fold_order_stress").string();
+  fs::remove_all(dir);
+  {
+    const std::shared_ptr<core::CfsfModel> seed =
+        TinySeed(/*max_ratings_per_user=*/20);
+    const std::size_t seed_ratings = seed->train().num_ratings();
+    std::vector<matrix::RatingTriple> fresh;
+    for (matrix::ItemId item = 0; item < kItems; ++item) {
+      for (matrix::UserId user = 0; user < kUsers; ++user) {
+        if (fresh.size() < kFreshCells &&
+            !seed->train().GetRating(user, item).has_value()) {
+          fresh.push_back(matrix::RatingTriple{
+              user, item, static_cast<matrix::Rating>(1 + fresh.size() % 5),
+              0});
+        }
+      }
+    }
+    ASSERT_EQ(fresh.size(), kFreshCells);
+
+    wal::WriteAheadLog log(dir);
+    serve::ModelGeneration models;
+    serve::DeltaFolder folder(log, models, seed);
+    folder.PublishNow();
+
+    std::atomic<bool> appending{true};
+    std::atomic<std::size_t> decreases{0};
+    std::atomic<std::size_t> samples{0};
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] {
+      for (const matrix::RatingTriple& record : fresh) {
+        log.Append(record, /*require_durable=*/true);
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      appending.store(false, std::memory_order_release);
+    });
+    for (std::size_t f = 0; f < kFolders; ++f) {
+      threads.emplace_back([&] {
+        while (appending.load(std::memory_order_acquire)) {
+          folder.FoldOnce();
+          std::this_thread::yield();
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      while (appending.load(std::memory_order_acquire)) {
+        folder.PublishNow();
+        std::this_thread::yield();
+      }
+    });
+    for (std::size_t r = 0; r < kReaders; ++r) {
+      threads.emplace_back([&] {
+        std::size_t highest = 0;
+        while (appending.load(std::memory_order_acquire)) {
+          const std::size_t ratings =
+              models.Active()->model().train().num_ratings();
+          if (ratings < highest) decreases.fetch_add(1);
+          highest = std::max(highest, ratings);
+          samples.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    folder.FoldOnce();  // whatever the last appends left
+
+    EXPECT_EQ(decreases.load(), 0u)
+        << "the served generation lost ratings in " << decreases.load()
+        << " of " << samples.load() << " samples";
+    EXPECT_GT(samples.load(), 0u);
+    EXPECT_GT(folder.publishes(), 2u);
+    EXPECT_EQ(folder.folded_records(), kFreshCells);
+    EXPECT_EQ(folder.fold_watermark(), kFreshCells);
+    const serve::FoldSnapshot snapshot = folder.Snapshot();
+    EXPECT_EQ(&models.Active()->model(), snapshot.model.get())
+        << "the served generation is not the folder's last model";
+    EXPECT_EQ(models.Active()->model().train().num_ratings(),
+              seed_ratings + kFreshCells);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Fault-tier coverage for the fail points no other fault test arms
-// (ctest label `fault`): movielens.open, movielens.parse_line, cfsf.fit
-// and serve.swap.load — plus an inventory sweep that arms every
+// (ctest label `fault`): movielens.open, movielens.parse_line and
+// cfsf.fit — plus an inventory sweep that arms every
 // kFailPoints row through the live registry.  cfsf_lint's
 // undocumented-failpoint rule requires each CFSF_FAILPOINT site literal
 // to appear in at least one fault-labelled test; this file is that
@@ -12,16 +12,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <string>
 
 #include "core/cfsf.hpp"
-#include "core/model_io.hpp"
 #include "data/movielens.hpp"
 #include "obs/failpoint.hpp"
 #include "obs/names.hpp"
-#include "serve/model_generation.hpp"
 #include "util/error.hpp"
 
 namespace cfsf {
@@ -104,32 +101,6 @@ TEST_F(FailpointCoverageTest, CfsfFitLeavesModelUnfitted) {
   // The same instance recovers once the point is disarmed.
   model.Fit(train);
   EXPECT_TRUE(model.fitted());
-}
-
-TEST_F(FailpointCoverageTest, ServeSwapLoadKeepsOldGeneration) {
-  data::SyntheticConfig dconfig;
-  dconfig.num_users = 40;
-  dconfig.num_items = 50;
-  dconfig.min_ratings_per_user = 10;
-  const auto train = data::GenerateSynthetic(dconfig);
-
-  auto first = std::make_unique<core::CfsfModel>(SmallConfig());
-  first->Fit(train);
-  const std::string bundle =
-      (std::filesystem::temp_directory_path() / "cfsf_fpcov_model.bin")
-          .string();
-  core::SaveModel(*first, bundle);
-
-  serve::ModelGeneration generations;
-  const std::uint64_t installed = generations.Install(std::move(first));
-  {
-    ScopedFailPoint fp("serve.swap.load", "always");
-    EXPECT_THROW(generations.LoadAndSwap(bundle), util::IoError);
-    // The failed swap must not disturb the serving generation.
-    EXPECT_EQ(generations.ActiveGeneration(), installed);
-  }
-  EXPECT_GT(generations.LoadAndSwap(bundle), installed);
-  std::remove(bundle.c_str());
 }
 
 // Every inventory row in src/obs/names.hpp must be armable through the

@@ -1,11 +1,12 @@
-// Fault-tier tests (ctest label `fault`): checksummed v2 bundle
-// corruption handling, v1 back-compat, atomic saves and retry loading
-// under injected faults, and the armed end-to-end Evaluate acceptance
-// run (CI drives this tier with CFSF_FAILPOINTS set, under ASan).
+// Fault-tier tests (ctest label `fault`): checksummed bundle corruption
+// handling, refusal of other format versions, atomic saves under
+// injected faults, and the armed end-to-end Evaluate acceptance run (CI
+// drives this tier with CFSF_FAILPOINTS set, under ASan).  Load faults
+// are absorbed by ckpt::Recover's checkpoint ladder
+// (tests/ckpt_crash_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -96,16 +97,30 @@ TEST_F(ModelIoFaultTest, VerifyReportsAllFourSections) {
             std::filesystem::file_size(std::filesystem::path(path)));
 }
 
-TEST_F(ModelIoFaultTest, LegacyV1BundleStillLoads) {
-  const std::string path = ::testing::TempDir() + "/cfsf_v1_compat.bin";
-  core::SaveModelLegacyV1(Model(), path);
-  const auto report = core::VerifyModel(path);
-  EXPECT_EQ(report.version, core::kLegacyModelFormatVersion);
-  EXPECT_TRUE(report.sections.empty());
-  const auto loaded = core::LoadModel(path);
-  ASSERT_TRUE(loaded->fitted());
-  for (matrix::UserId u = 0; u < 20; ++u) {
-    EXPECT_DOUBLE_EQ(Model().Predict(u, u % 13), loaded->Predict(u, u % 13));
+TEST_F(ModelIoFaultTest, LegacyV1BundleIsRefused) {
+  // The unchecksummed version-1 layout: "CFSF" | u32 1 | the four
+  // sections back to back, unframed.  Neither reader accepts it any more.
+  const std::string path = ::testing::TempDir() + "/cfsf_v1_refused.bin";
+  std::string bytes = "CFSF";
+  const std::uint32_t version = 1;
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  bytes.append(96, '\0');
+  WriteFileBytes(path, bytes);
+  for (const bool verify : {false, true}) {
+    try {
+      if (verify) {
+        core::VerifyModel(path);
+      } else {
+        core::LoadModel(path);
+      }
+      ADD_FAILURE() << (verify ? "VerifyModel" : "LoadModel")
+                    << " accepted a version-1 bundle";
+    } catch (const util::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported model format "
+                                           "version 1"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -204,52 +219,6 @@ TEST_F(ModelIoFaultTest, InjectedSaveFaultLeavesTargetIntactAndNoTmp) {
   EXPECT_NO_THROW(core::LoadModel(path));
 }
 
-TEST_F(ModelIoFaultTest, LoadWithRetrySurvivesTransientFaults) {
-  const std::string path = ::testing::TempDir() + "/cfsf_retry.bin";
-  core::SaveModel(Model(), path);
-  auto& registry = FailPointRegistry::Global();
-  auto& retries =
-      obs::MetricsRegistry::Global().GetCounter("robust.load.retry");
-  auto& giveups =
-      obs::MetricsRegistry::Global().GetCounter("robust.load.giveup");
-  const auto retries_before = retries.Value();
-  const auto giveups_before = giveups.Value();
-  registry.Arm("model_io.load.open", "first:2");
-  core::LoadRetryOptions options;
-  options.max_attempts = 3;
-  options.initial_backoff = std::chrono::milliseconds(1);
-  const auto loaded = core::LoadModelWithRetry(path, options);
-  ASSERT_TRUE(loaded->fitted());
-  EXPECT_EQ(registry.TripCount("model_io.load.open"), 2u);
-  if (obs::MetricsEnabled()) {
-    EXPECT_EQ(retries.Value(), retries_before + 2);
-    EXPECT_EQ(giveups.Value(), giveups_before)
-        << "a load that eventually succeeds must not count as a giveup";
-  }
-}
-
-TEST_F(ModelIoFaultTest, LoadWithRetryGivesUpAfterMaxAttempts) {
-  const std::string path = ::testing::TempDir() + "/cfsf_retry_exhaust.bin";
-  core::SaveModel(Model(), path);
-  auto& registry = FailPointRegistry::Global();
-  auto& retries =
-      obs::MetricsRegistry::Global().GetCounter("robust.load.retry");
-  auto& giveups =
-      obs::MetricsRegistry::Global().GetCounter("robust.load.giveup");
-  const auto retries_before = retries.Value();
-  const auto giveups_before = giveups.Value();
-  registry.Arm("model_io.load.read", "always");
-  core::LoadRetryOptions options;
-  options.max_attempts = 2;
-  options.initial_backoff = std::chrono::milliseconds(1);
-  EXPECT_THROW(core::LoadModelWithRetry(path, options), InjectedFault);
-  EXPECT_EQ(registry.TripCount("model_io.load.read"), 2u);
-  if (obs::MetricsEnabled()) {
-    EXPECT_EQ(retries.Value(), retries_before + 1);
-    EXPECT_EQ(giveups.Value(), giveups_before + 1);
-  }
-}
-
 // ------------------------------------------ configs the code refuses ----
 
 // The config section is first: its payload starts after the 8-byte header
@@ -279,19 +248,14 @@ std::string PatchConfigSlot(std::string data, std::size_t offset,
 constexpr std::size_t kKernelSlot = 48;
 constexpr std::size_t kRowCapSlot = 68;
 
-// A patched bundle must be refused with a ConfigError naming the field,
-// and LoadModelWithRetry must not retry it.
+// A patched bundle must be refused with a ConfigError naming the field.
 void ExpectConfigRefused(const std::string& path, const std::string& field) {
-  auto& retries =
-      obs::MetricsRegistry::Global().GetCounter("robust.load.retry");
-  const auto retries_before = retries.Value();
   try {
-    core::LoadModelWithRetry(path);
+    core::LoadModel(path);
     ADD_FAILURE() << "bundle with a patched " << field << " was accepted";
   } catch (const util::ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
   }
-  EXPECT_EQ(retries.Value(), retries_before);
 }
 
 TEST_F(ModelIoFaultTest, NonzeroRowCapSlotIsRefused) {

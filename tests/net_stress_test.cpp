@@ -2,8 +2,8 @@
 // runs it under TSan).  CFSF_NET_THREADS client threads hammer a
 // loopback HttpServer over keep-alive connections with a seeded mix of
 // predict / batch / top-n / healthz requests for CFSF_NET_ITERS
-// iterations each, while the coordinator hot-swaps the model
-// generation mid-flood.  Invariants:
+// iterations each, while the coordinator installs a folded model
+// generation mid-flood (the swap).  Invariants:
 //   * zero dropped in-flight responses — every request written gets a
 //     complete HTTP response (whatever its status)
 //   * the flood straddles the swap: both generations are observed and
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/cfsf.hpp"
-#include "core/model_io.hpp"
 #include "data/synthetic.hpp"
 #include "net/server.hpp"
 #include "net/service.hpp"
@@ -217,9 +216,6 @@ TEST(NetStressTest, FloodSurvivesMidFlightHotSwapWithZeroDrops) {
   config.top_k_users = 6;
   auto model = std::make_unique<core::CfsfModel>(config);
   model->Fit(data::GenerateSynthetic(dconfig));
-  const std::string swap_path =
-      ::testing::TempDir() + "/cfsf_net_stress_swap.bin";
-  core::SaveModel(*model, swap_path);
 
   serve::ModelGeneration models;
   models.Install(std::move(model));
@@ -244,11 +240,13 @@ TEST(NetStressTest, FloodSurvivesMidFlightHotSwapWithZeroDrops) {
                          std::ref(tallies[t]));
   }
 
-  // Hot-swap the model generation while the flood is in full flight.
+  // Publish a folded generation while the flood is in full flight: the
+  // active model with a small rating batch folded in, as a DeltaFolder
+  // publishes it.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  core::LoadRetryOptions retry;
-  retry.initial_backoff = std::chrono::milliseconds(1);
-  models.LoadAndSwap(swap_path, retry);
+  const std::vector<matrix::RatingTriple> batch = {
+      {0, 0, 5.0F, 0}, {1, 1, 4.0F, 0}, {2, 2, 3.0F, 0}};
+  models.Install(models.Active()->model().WithRatings(batch));
   swap_done.store(true, std::memory_order_release);
 
   for (std::thread& client : clients) client.join();

@@ -1,9 +1,9 @@
 // Tests for the resilient serving layer: circuit-breaker state machine,
 // admission control (shedding, watermark degrade/reject, drain),
-// deadline propagation, hot model swap, worker-fault survival, the durable
-// Rate verb (write-ahead log + DeltaFolder fold-and-publish) — and the
-// chaos soak that drives all of it at once under randomized failpoint
-// schedules (ctest labels: fault + stress).
+// deadline propagation, generation publish, worker-fault survival, the
+// durable Rate verb (write-ahead log + DeltaFolder fold-and-publish) —
+// and the chaos soak that drives all of it at once under randomized
+// failpoint schedules (ctest labels: fault + stress).
 //
 // Everything speaks the unified serve::Request/serve::Response API.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/cfsf.hpp"
-#include "core/model_io.hpp"
 #include "data/synthetic.hpp"
 #include "obs/failpoint.hpp"
 #include "obs/metrics.hpp"
@@ -711,15 +710,19 @@ TEST_F(ServeTest, DeltaFolderBackgroundThreadPublishesWithoutPrompting) {
 
 // --------------------------------------------------------- hot swap ----
 
+// The publish a DeltaFolder performs: the active model folded with a
+// small batch of ratings, installed as the next generation.
+const std::vector<matrix::RatingTriple> kFoldBatch = {
+    {0, 0, 5.0F, 0}, {1, 1, 4.0F, 0}, {2, 2, 3.0F, 0}};
+
 TEST_F(ServeTest, HotSwapReplacesGenerationMidTraffic) {
   ModelGeneration models;
   const std::uint64_t gen1 = models.Install(FreshModel());
-  const std::string path = ::testing::TempDir() + "/cfsf_serve_swap.bin";
-  core::SaveModel(*FreshModel(), path);
 
   ServingStack stack(models, SmallStack());
   const auto pinned = models.Active();  // an in-flight request's view
-  const std::uint64_t gen2 = models.LoadAndSwap(path);
+  const std::uint64_t gen2 =
+      models.Install(pinned->model().WithRatings(kFoldBatch));
   EXPECT_GT(gen2, gen1);
   EXPECT_EQ(models.ActiveGeneration(), gen2);
   // The pinned generation is still fully usable until released.
@@ -730,29 +733,11 @@ TEST_F(ServeTest, HotSwapReplacesGenerationMidTraffic) {
   EXPECT_EQ(response.generation, gen2);
 }
 
-TEST_F(ServeTest, FailedSwapKeepsPreviousGenerationServing) {
-  ModelGeneration models;
-  const std::uint64_t gen1 = models.Install(FreshModel());
-  ServingStack stack(models, SmallStack());
-  core::LoadRetryOptions retry;
-  retry.max_attempts = 2;
-  retry.initial_backoff = std::chrono::milliseconds(1);
-  EXPECT_THROW(
-      models.LoadAndSwap(::testing::TempDir() + "/cfsf_no_such_bundle.bin",
-                         retry),
-      util::IoError);
-  EXPECT_EQ(models.ActiveGeneration(), gen1);
-  EXPECT_EQ(stack.ServeSync(Request::Predict(0, 0)).code, StatusCode::kOk);
-}
-
 // ------------------------------------------------------- chaos soak ----
 
 TEST_F(ServeTest, ChaosSoakSurvivesRandomizedFailpointSchedules) {
   ModelGeneration models;
   models.Install(FreshModel());
-  const std::string swap_path =
-      ::testing::TempDir() + "/cfsf_soak_swap.bin";
-  core::SaveModel(*FreshModel(), swap_path);
 
   ServingOptions options;
   options.queue_capacity = 64;
@@ -776,9 +761,9 @@ TEST_F(ServeTest, ChaosSoakSurvivesRandomizedFailpointSchedules) {
       {"serve.worker", 0.05},
       {"serve.admit", 0.02},
   };
-  core::LoadRetryOptions retry;
-  retry.initial_backoff = std::chrono::milliseconds(1);
-  soak.mid_traffic = [&] { models.LoadAndSwap(swap_path, retry); };
+  soak.mid_traffic = [&] {
+    models.Install(models.Active()->model().WithRatings(kFoldBatch));
+  };
 
   const serve::SoakReport report = serve::RunSoak(stack, soak);
   SCOPED_TRACE(report.Summary());
@@ -791,7 +776,7 @@ TEST_F(ServeTest, ChaosSoakSurvivesRandomizedFailpointSchedules) {
       << "the chaos phase must trip the breaker at least once";
   EXPECT_TRUE(report.mid_traffic_ran);
   EXPECT_FALSE(report.mid_traffic_failed);
-  // The swap ran while recovery-phase clients were in flight; whether
+  // The publish ran while recovery-phase clients were in flight; whether
   // any of them also *observed* the new generation is timing-dependent,
   // but the stack must serve from it now with nothing broken.
   EXPECT_GE(report.generations_seen, 1u);

@@ -24,12 +24,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// --- hand-rolled version-1 segment encoding (upgrade-path fixtures) ---
+// --- hand-rolled version-1 segment encoding (refusal fixture) ---------
 //
-// The production writer only emits the current format, so the v1
-// back-compat tests craft their bytes here, straight from the format
-// doc: 28-byte header with version 1, then 24-byte frames (no
-// request_id), CRC over the first 20 bytes.
+// The writer only emits the current format, so the refusal test crafts
+// a segment of the retired version 1 here: a 28-byte header with
+// version 1, then 24-byte frames (no request_id), CRC over the first
+// 20 bytes.
 
 void PutU32At(std::string* out, std::size_t at, std::uint32_t value) {
   (*out)[at] = static_cast<char>(value);
@@ -51,11 +51,9 @@ void PutCrcAt(std::string* out, std::size_t at, std::size_t payload) {
 
 std::string EncodeV1Segment(std::uint64_t seq, std::uint64_t first_lsn,
                             const std::vector<matrix::RatingTriple>& records) {
-  std::string bytes(wal::kSegmentHeaderBytes +
-                        records.size() * wal::kRecordBytesV1,
-                    '\0');
+  std::string bytes(wal::kSegmentHeaderBytes + records.size() * 24, '\0');
   bytes.replace(0, 4, "CFWL");
-  PutU32At(&bytes, 4, wal::kLegacyFormatVersion);
+  PutU32At(&bytes, 4, 1);
   PutU64At(&bytes, 8, seq);
   PutU64At(&bytes, 16, first_lsn);
   PutCrcAt(&bytes, 0, wal::kSegmentHeaderBytes - 4);
@@ -67,8 +65,8 @@ std::string EncodeV1Segment(std::uint64_t seq, std::uint64_t first_lsn,
     std::memcpy(&rating_bits, &record.value, sizeof(rating_bits));
     PutU32At(&bytes, at + 8, rating_bits);
     PutU64At(&bytes, at + 12, static_cast<std::uint64_t>(record.timestamp));
-    PutCrcAt(&bytes, at, wal::kRecordBytesV1 - 4);
-    at += wal::kRecordBytesV1;
+    PutCrcAt(&bytes, at, 24 - 4);
+    at += 24;
   }
   return bytes;
 }
@@ -284,58 +282,49 @@ TEST_F(WalTest, ReplayOfAnEmptyLogYieldsLsnOne) {
   EXPECT_EQ(replay.segments, 1u);
 }
 
-// ----------------------------------------------------------- upgrade ----
+// ----------------------------------------------------------- version ----
 
-TEST_F(WalTest, ReopeningAV1LogSealsTheTailAndAppendsIntoAV2Segment) {
-  // A log written entirely by the v1 code: one segment, three 24-byte
-  // frames.  Appending 32-byte v2 frames into it would make the next
-  // replay decode at the wrong stride and truncate them as a torn tail.
+TEST_F(WalTest, AV1SegmentIsRefusedAndLeftUntouched) {
+  // A log written by the retired version-1 writer: three 24-byte frames
+  // plus a partial frame of torn tail, which repair mode would truncate
+  // in a current-format segment.
   std::vector<matrix::RatingTriple> old_records;
   for (std::uint32_t i = 0; i < 3; ++i) old_records.push_back(MakeRecord(i));
   fs::create_directories(dir_);
+  const std::string path = dir_ + "/" + wal::SegmentFileName(1);
+  const std::string bytes = EncodeV1Segment(1, 1, old_records) + "torn!";
   {
-    std::ofstream out(dir_ + "/" + wal::SegmentFileName(1), std::ios::binary);
-    const std::string bytes = EncodeV1Segment(1, 1, old_records);
+    std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-
-  // The v2 writer recovers the v1 history and keeps appending.
-  std::vector<wal::RecoveredRecord> recovered;
-  {
-    wal::WriteAheadLog log(dir_, {}, &recovered);
-    ASSERT_EQ(recovered.size(), 3u);
-    for (std::uint32_t i = 3; i < 6; ++i) {
-      const wal::AppendAck ack = log.Append(MakeRecord(i));
-      EXPECT_EQ(ack.lsn, i + 1);
-      EXPECT_EQ(log.durable_lsn(), ack.lsn);
+  const auto expect_refused = [&](const auto& open, const char* what) {
+    try {
+      open();
+      ADD_FAILURE() << what << " accepted a version-1 segment";
+    } catch (const util::IoError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(wal::SegmentFileName(1)), std::string::npos)
+          << what << ": " << message;
+      EXPECT_NE(message.find("version 1"), std::string::npos)
+          << what << ": " << message;
     }
-  }
+  };
+  expect_refused([&] { wal::ReplayLog(dir_); }, "ReplayLog");
+  expect_refused([&] { wal::ReplayLog(dir_, {/*repair=*/true}); },
+                 "ReplayLog(repair)");
+  expect_refused([&] { wal::WriteAheadLog log(dir_); }, "WriteAheadLog");
 
-  // Restart: the v1 prefix and the v2 suffix both survive replay.
-  const wal::ReplayResult replay = wal::ReplayLog(dir_);
-  ASSERT_EQ(replay.records.size(), 6u);
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(replay.records[i].lsn, i + 1);
-    EXPECT_EQ(replay.records[i].record, MakeRecord(i));
+  // Nothing was truncated, unlinked or appended: the segment is the only
+  // file and holds exactly the bytes written.
+  std::vector<std::string> names;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+    names.push_back(entry.path().filename().string());
   }
-  // The v1 tail was sealed, never appended to: the new records live in
-  // a fresh v2 segment with a contiguous lsn range.
-  ASSERT_EQ(replay.segment_infos.size(), 2u);
-  EXPECT_EQ(replay.segment_infos[0].version, wal::kLegacyFormatVersion);
-  EXPECT_EQ(replay.segment_infos[0].records, 3u);
-  EXPECT_EQ(replay.segment_infos[1].version, wal::kFormatVersion);
-  EXPECT_EQ(replay.segment_infos[1].first_lsn, 4u);
-  EXPECT_EQ(replay.segment_infos[1].records, 3u);
-
-  // A second reopen finds a current-format tail and appends in place —
-  // sealing happens once per upgrade, not on every restart.
-  {
-    wal::WriteAheadLog log(dir_);
-    EXPECT_EQ(log.Append(MakeRecord(6)).lsn, 7u);
-  }
-  const wal::ReplayResult again = wal::ReplayLog(dir_);
-  EXPECT_EQ(again.records.size(), 7u);
-  EXPECT_EQ(again.segments, 2u);
+  EXPECT_EQ(names, std::vector<std::string>{wal::SegmentFileName(1)});
+  std::ifstream in(path, std::ios::binary);
+  const std::string after((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, bytes);
 }
 
 TEST_F(WalTest, RecoveryRemovesTmpLeftoversOnlyInRepairMode) {

@@ -16,7 +16,9 @@
 //   cfsf_cli json-check --file=out.json
 //   cfsf_cli serve-bench [--smoke] [--clients=8 --requests=300
 //                        --capacity=64 --budget-us=500
-//                        --seed=N --chaos=true --swap-file=PATH]
+//                        --seed=N --chaos=true]
+//                        (chaos soak; mid-traffic it installs the model
+//                        folded with a small rating batch)
 //   cfsf_cli serve     [--model=model.bin] [--bind=127.0.0.1 --port=0
 //                      --workers=4 --max-connections=32 --capacity=64
 //                      --duration-ms=0] [--wal-dir=DIR]
@@ -308,9 +310,6 @@ int CmdVerifyModel(util::ArgParser& args) {
                 static_cast<unsigned long long>(section.payload_bytes),
                 section.crc);
   }
-  if (report.sections.empty()) {
-    std::printf("  (v1 bundle: no checksums, structural parse only)\n");
-  }
   return 0;
 }
 
@@ -341,8 +340,10 @@ int CmdJsonCheck(util::ArgParser& args) {
 
 // Chaos-soak smoke for the resilient serving layer: fit a model, stand up
 // a ServingStack, drive calm -> chaos -> recovery traffic (serve/soak),
-// hot-swap the model mid-traffic, then require the resilience invariants
-// AND a full breaker round-trip (trip + recovery back to full fusion).
+// publish a folded generation mid-traffic (the DeltaFolder's publish:
+// Install of the active model WithRatings of a batch), then require the
+// resilience invariants AND a full breaker round-trip (trip + recovery
+// back to full fusion).
 // Exit 0 only when everything held — tools/ci_check.sh runs this under
 // ASan as the chaos-soak smoke tier.
 int CmdServeBench(util::ArgParser& args) {
@@ -364,13 +365,7 @@ int CmdServeBench(util::ArgParser& args) {
   options.breaker.min_samples = 8;
   options.breaker.cooldown = std::chrono::milliseconds(2);
   options.breaker.probe_count = 2;
-  std::string swap_file = args.GetString("swap-file", "");
   args.RejectUnknown();
-  if (swap_file.empty()) {
-    swap_file = (std::filesystem::temp_directory_path() /
-                 "cfsf_serve_bench_swap.bin")
-                    .string();
-  }
 
   data::SyntheticConfig dconfig;
   dconfig.num_users = smoke ? 60 : 200;
@@ -387,7 +382,6 @@ int CmdServeBench(util::ArgParser& args) {
   {
     auto model = std::make_unique<core::CfsfModel>(config);
     model->Fit(train);
-    core::SaveModel(*model, swap_file);
     models.Install(std::move(model));
   }
   std::printf("serve-bench: fitted + installed generation 1 in %.2fs\n",
@@ -401,9 +395,11 @@ int CmdServeBench(util::ArgParser& args) {
         {"serve.admit", 0.02},
     };
   }
-  core::LoadRetryOptions retry;
-  retry.initial_backoff = std::chrono::milliseconds(1);
-  soak.mid_traffic = [&] { models.LoadAndSwap(swap_file, retry); };
+  const std::vector<matrix::RatingTriple> batch = {
+      {0, 0, 5.0F, 0}, {1, 1, 4.0F, 0}, {2, 2, 3.0F, 0}};
+  soak.mid_traffic = [&] {
+    models.Install(models.Active()->model().WithRatings(batch));
+  };
 
   const serve::SoakReport report = serve::RunSoak(stack, soak);
   std::printf("%s\n", report.Summary().c_str());
@@ -627,18 +623,16 @@ int CmdWalDump(util::ArgParser& args) {
               static_cast<unsigned long long>(replay.next_lsn));
   for (const wal::SegmentInfo& segment : replay.segment_infos) {
     if (segment.records > 0) {
-      std::printf("  segment %llu (v%u): lsn %llu..%llu, %zu record(s), "
+      std::printf("  segment %llu: lsn %llu..%llu, %zu record(s), "
                   "%zu byte(s)\n",
                   static_cast<unsigned long long>(segment.seq),
-                  segment.version,
                   static_cast<unsigned long long>(segment.first_lsn),
                   static_cast<unsigned long long>(segment.last_lsn),
                   segment.records, segment.bytes);
     } else {
-      std::printf("  segment %llu (v%u): empty (next lsn %llu), "
+      std::printf("  segment %llu: empty (next lsn %llu), "
                   "%zu byte(s)\n",
                   static_cast<unsigned long long>(segment.seq),
-                  segment.version,
                   static_cast<unsigned long long>(segment.first_lsn),
                   segment.bytes);
     }

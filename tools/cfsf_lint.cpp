@@ -48,9 +48,9 @@
 //   naked-sleep-in-library  std::this_thread::sleep_for/sleep_until (and
 //                        POSIX usleep/nanosleep) in src/ — wall-clock
 //                        waits in library code must go through
-//                        util::Backoff / util::SleepFor (util/backoff.hpp)
-//                        so every sleep is bounded, jittered and findable;
-//                        the backoff implementation itself is exempt.
+//                        util::SleepFor (util/backoff.hpp) so every sleep
+//                        is findable from one site; that implementation
+//                        itself is exempt.
 //
 // Token rules (cross-line, src/ only):
 //
@@ -391,8 +391,8 @@ const std::vector<LineRule>& LineRules() {
        {"src/util/check"}},
       {"naked-sleep-in-library",
        "raw sleep in library code; wall-clock waits must go through "
-       "util::Backoff / util::SleepFor (util/backoff.hpp) so they stay "
-       "bounded and jittered",
+       "util::SleepFor (util/backoff.hpp) so every sleep is findable from "
+       "one site",
        std::regex(
            R"(\bstd\s*::\s*this_thread\s*::\s*sleep_(for|until)\b|\bsleep_(for|until)\s*\(|\b(usleep|nanosleep)\s*\()"),
        true,

@@ -17,7 +17,7 @@
 #      front end, parser and drain paths under ASan
 #   2c. chaos soak  (asan build)                   : cfsf_cli serve-bench
 #      --smoke — the serving stack under concurrent clients, randomized
-#      failpoint schedules and a mid-traffic hot swap; exits nonzero
+#      failpoint schedules and a mid-traffic fold publish; exits nonzero
 #      unless every resilience invariant held and the circuit breaker
 #      completed a full trip-and-recover round trip
 #   3. tsan preset  (thread sanitizer)             : build + ctest -L "unit|stress"
