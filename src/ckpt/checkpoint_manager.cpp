@@ -1,7 +1,5 @@
 #include "ckpt/checkpoint_manager.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <string_view>
@@ -14,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/backoff.hpp"
+#include "util/durable_file.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "wal/compact.hpp"
@@ -55,12 +54,7 @@ CheckpointManager::CheckpointManager(serve::DeltaFolder& folder,
   CFSF_REQUIRE(!options_.dir.empty(), "CheckpointManager: dir required");
   CFSF_REQUIRE(options_.keep_last >= 1,
                "CheckpointManager: keep_last must be >= 1");
-  std::error_code ec;
-  fs::create_directories(options_.dir, ec);
-  if (ec) {
-    throw util::IoError("ckpt: cannot create directory " + options_.dir +
-                        ": " + ec.message());
-  }
+  util::CreateDirectoriesDurably(options_.dir);
   // Resume numbering past whatever a previous process left behind, and
   // adopt the newest readable manifest so the first cadence tick does
   // not rewrite an identical checkpoint.
@@ -100,9 +94,9 @@ std::uint64_t CheckpointManager::CheckpointNow() {
   const std::string model_path = (root / ModelFileName(id)).string();
   try {
     CFSF_FAILPOINT("ckpt.write");
-    // Step 2: the bundle.  SaveModel is atomic (tmp+rename); the
-    // read-back proves the bytes on disk reconstruct, so no manifest
-    // ever names a checkpoint that cannot actually recover.
+    // Step 2: the bundle.  SaveModel returns once it is durable; the
+    // read-back proves the saved bytes are intact, so no manifest ever
+    // names a checkpoint that cannot actually recover.
     core::SaveModel(*snapshot.model, model_path);
     const core::VerifyReport report = core::VerifyModel(model_path);
 
@@ -186,16 +180,17 @@ std::uint64_t CheckpointManager::GarbageCollect(
       }
       continue;
     }
-    // Manifest before model: a crash between the unlinks leaves a
-    // model without a manifest (invisible to recovery), never a
-    // manifest pointing into the void.
-    std::error_code ec;
-    fs::remove(root / ManifestFileName(id), ec);
-    fs::remove(root / ModelFileName(id), ec);
+    // Manifest first: once its unlink is durable the bundle is an
+    // orphan, which the sweep below removes, so neither a crash nor a
+    // power cut leaves a manifest pointing into the void.  Best-effort:
+    // a failure leaves the checkpoint for the next pass.
+    try {
+      util::RemoveFileDurably(options_.dir, ManifestFileName(id));
+    } catch (const util::IoError&) {
+    }
   }
-  // Orphan bundles — a failed checkpoint's model that never got its
-  // manifest (or a crash between the two GC unlinks above).  Nothing
-  // references them; sweep anything older than the live id range.
+  // Orphan bundles — retired above, or a failed checkpoint's model that
+  // never got its manifest.  Nothing references them.
   std::error_code iter_ec;
   for (const fs::directory_entry& entry :
        fs::directory_iterator(root, iter_ec)) {
@@ -212,8 +207,11 @@ std::uint64_t CheckpointManager::GarbageCollect(
     if (!ParseManifestFileName(as_manifest, &id)) continue;
     std::error_code exists_ec;
     if (!fs::exists(root / as_manifest, exists_ec)) {
-      std::error_code ec;
-      fs::remove(entry.path(), ec);
+      try {
+        util::RemoveFileDurably(options_.dir, name);
+      } catch (const util::IoError&) {
+        // Best-effort, like the pass above.
+      }
     }
   }
   return min_watermark;

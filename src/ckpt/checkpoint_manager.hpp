@@ -10,17 +10,20 @@
 //                  watermark read under one lock, no copy, so the pair
 //                  is consistent by construction
 //   2. bundle      core::SaveModel to ckpt-<id>.model (format v2:
-//                  CRC'd sections, tmp+rename) + directory fsync,
-//                  then a full VerifyModel read-back — a checkpoint
-//                  that cannot be re-read never gets a manifest
+//                  CRC'd sections), durable when it returns (tmp,
+//                  fsync, rename, directory fsync), then a full
+//                  VerifyModel read-back proving the saved bytes are
+//                  intact — a checkpoint that cannot be re-read never
+//                  gets a manifest
 //   3. manifest    ckpt-<id>.manifest binding the bundle to the
 //                  watermark (ckpt/manifest.hpp), atomic — the commit
 //                  point: the bundle is invisible to recovery until
 //                  this rename lands, and the newest checkpoint from
 //                  the moment it does
 //   4. GC          checkpoints beyond keep_last are unlinked,
-//                  manifest first (so a crash never leaves a manifest
-//                  pointing at a missing bundle)
+//                  manifest first, each unlink durable before the next
+//                  (so neither a crash nor a power cut leaves a
+//                  manifest pointing at a missing bundle)
 //   5. compaction  wal::CompactWal below the *minimum* watermark over
 //                  the retained checkpoints — the oldest fallback
 //                  candidate must still find its replay suffix, so
@@ -80,9 +83,9 @@ struct CheckpointStatus {
 
 class CheckpointManager {
  public:
-  /// `folder` and `log` must outlive the manager.  Creates `dir` if
-  /// needed and resumes id numbering past any checkpoints already
-  /// there.  Throws util::IoError when the directory cannot be made.
+  /// `folder` and `log` must outlive the manager.  Creates `dir`
+  /// durably if needed and resumes id numbering past any checkpoints
+  /// already there.  Throws util::IoError when the directory cannot be made.
   CheckpointManager(serve::DeltaFolder& folder, wal::WriteAheadLog& log,
                     const CheckpointOptions& options);
   ~CheckpointManager();  // Stop()

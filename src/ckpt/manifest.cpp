@@ -1,16 +1,12 @@
 #include "ckpt/manifest.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "util/crc32.hpp"
-#include "util/error.hpp"
+#include "util/durable_file.hpp"
 
 namespace cfsf::ckpt {
 
@@ -50,51 +46,6 @@ std::string TenDigits(std::uint64_t id) {
     digits.insert(digits.begin(), 10 - digits.size(), '0');
   }
   return digits;
-}
-
-/// tmp + fsync + rename + directory fsync — the same discipline model
-/// bundles and WAL segments use, so a crash at any point leaves either
-/// the old file, no file, or the complete new file.
-void WriteFileAtomic(const std::string& dir, const std::string& name,
-                     const unsigned char* data, std::size_t size) {
-  const fs::path final_path = fs::path(dir) / name;
-  const std::string tmp_path = final_path.string() + ".tmp";
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw util::IoError("ckpt: cannot create " + tmp_path + ": " +
-                        std::strerror(errno));
-  }
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp_path.c_str());
-      throw util::IoError("ckpt: cannot write " + tmp_path + ": " + why);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
-    throw util::IoError("ckpt: cannot fsync " + tmp_path + ": " + why);
-  }
-  ::close(fd);
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    const std::string why = std::strerror(errno);
-    ::unlink(tmp_path.c_str());
-    throw util::IoError("ckpt: cannot rename " + tmp_path + ": " + why);
-  }
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd < 0 || ::fsync(dir_fd) != 0) {
-    const std::string why = std::strerror(errno);
-    if (dir_fd >= 0) ::close(dir_fd);
-    throw util::IoError("ckpt: cannot fsync directory " + dir + ": " + why);
-  }
-  ::close(dir_fd);
 }
 
 /// Reads exactly `size` bytes; false on missing/short/unreadable.
@@ -164,7 +115,8 @@ bool ParseManifestFileName(const std::string& name, std::uint64_t* id) {
 void WriteManifestFile(const std::string& dir, const Manifest& manifest) {
   unsigned char raw[kManifestBytes];
   EncodeManifest(manifest, raw);
-  WriteFileAtomic(dir, ManifestFileName(manifest.id), raw, sizeof(raw));
+  util::WriteFileDurably(dir, ManifestFileName(manifest.id),
+                         {util::AsBytes(raw)});
 }
 
 bool ReadManifestFile(const std::string& path, Manifest* manifest) {

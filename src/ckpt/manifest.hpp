@@ -8,10 +8,10 @@
 //   ckpt-<10-digit N>.manifest   this header's 48-byte record binding
 //                                the bundle to its WAL watermark
 //
-// Both are little-endian, CRC-trailed, and written with the bundle-v2
-// atomic discipline (tmp + fsync + rename + directory fsync), so any
-// crash leaves each file either absent or whole — and any flipped byte
-// is caught by a CRC, never trusted.
+// Both are little-endian, CRC-trailed, and written through
+// util::WriteFileDurably (tmp, fsync, rename, directory fsync), so any
+// crash or power cut leaves each file either absent or whole — and any
+// flipped byte is caught by a CRC, never trusted.
 //
 //   manifest (48 bytes):
 //     "CFCM" | u32 version (1) | u64 id | u64 watermark_lsn |
@@ -63,8 +63,8 @@ std::string ManifestFileName(std::uint64_t id);
 /// True when `name` is a manifest file name; fills `id`.
 bool ParseManifestFileName(const std::string& name, std::uint64_t* id);
 
-/// Atomically (tmp + fsync + rename + dir fsync) writes the manifest
-/// into `dir`.  Throws util::IoError on any I/O failure.
+/// Durably (util::WriteFileDurably) writes the manifest into `dir`.
+/// Throws util::IoError on any I/O failure.
 void WriteManifestFile(const std::string& dir, const Manifest& manifest);
 
 /// False when the file is missing, short, or corrupt — never throws for

@@ -7,10 +7,10 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
-#include <system_error>
 
 #include "obs/failpoint.hpp"
 #include "util/crc32.hpp"
+#include "util/durable_file.hpp"
 #include "util/error.hpp"
 
 namespace cfsf::core {
@@ -215,35 +215,6 @@ std::array<std::string, kNumSections> SerializeSections(
   return sections;
 }
 
-// Writes the bundle body to `path + ".tmp"` and renames into place, so a
-// crash (or any failure, including an injected one) mid-write can never
-// leave a torn bundle at `path`: the target either keeps its previous
-// contents or holds the complete new ones.  rename(2) within one
-// directory is atomic on POSIX.
-template <typename WriteBody>
-void WriteAtomically(const std::string& path, WriteBody&& body) {
-  const std::string tmp_path = path + ".tmp";
-  try {
-    {
-      std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-      if (!out) throw util::IoError("cannot open for writing: " + tmp_path);
-      body(out);
-      out.flush();
-      if (!out) throw util::IoError("write failed: " + tmp_path);
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp_path, path, ec);
-    if (ec) {
-      throw util::IoError("cannot rename " + tmp_path + " to " + path + ": " +
-                          ec.message());
-    }
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(tmp_path, ec);  // best-effort cleanup
-    throw;
-  }
-}
-
 // --- in-memory bundle walking -------------------------------------------
 
 std::string ReadFileBytes(const std::string& path) {
@@ -384,27 +355,28 @@ void CheckHeader(std::string_view data, const std::string& path) {
 void SaveModel(const CfsfModel& model, const std::string& path) {
   CFSF_REQUIRE(model.fitted(), "SaveModel requires a fitted model");
   const auto sections = SerializeSections(model);
-  WriteAtomically(path, [&](std::ostream& out) {
-    CFSF_FAILPOINT("model_io.save.write");
-    util::Crc32Accumulator file_crc;
-    const auto emit = [&](const void* data, std::size_t size) {
-      out.write(static_cast<const char*>(data),
-                static_cast<std::streamsize>(size));
-      file_crc.Update(data, size);
-    };
-    emit(kMagic, sizeof(kMagic));
-    const std::uint32_t version = kModelFormatVersion;
-    emit(&version, sizeof(version));
-    for (const auto& payload : sections) {
-      const std::uint64_t payload_bytes = payload.size();
-      emit(&payload_bytes, sizeof(payload_bytes));
-      emit(payload.data(), payload.size());
-      const std::uint32_t crc = util::Crc32(payload);
-      emit(&crc, sizeof(crc));
-    }
-    const std::uint32_t trailer = file_crc.value();
-    WritePod(out, trailer);
-  });
+  // The bundle goes out as pieces pointing into `sections` and the
+  // frame fields below, so no second copy of it is built.
+  const std::uint32_t version = kModelFormatVersion;
+  std::array<std::uint64_t, kNumSections> payload_bytes{};
+  std::array<std::uint32_t, kNumSections> crcs{};
+  std::vector<std::string_view> pieces = {util::AsBytes(kMagic),
+                                          util::AsBytes(version)};
+  for (std::size_t i = 0; i < kNumSections; ++i) {
+    payload_bytes[i] = sections[i].size();
+    crcs[i] = util::Crc32(sections[i]);
+    pieces.insert(pieces.end(), {util::AsBytes(payload_bytes[i]),
+                                 sections[i], util::AsBytes(crcs[i])});
+  }
+  util::Crc32Accumulator file_crc;
+  for (const std::string_view piece : pieces) file_crc.Update(piece);
+  const std::uint32_t trailer = file_crc.value();
+  pieces.push_back(util::AsBytes(trailer));
+
+  CFSF_FAILPOINT("model_io.save.write");
+  const std::filesystem::path target(path);
+  util::WriteFileDurably(target.parent_path().string(),
+                         target.filename().string(), pieces);
 }
 
 std::unique_ptr<CfsfModel> LoadModel(const std::string& path) {

@@ -15,11 +15,13 @@
 //     u64 payload_bytes | payload | u32 crc32(payload)
 //   u32 crc32(everything above)          // whole-file trailer
 //
-// and every write goes to `<path>.tmp` followed by an atomic rename, so
-// a crash mid-save can never leave a torn bundle at the target path.
-// Any single flipped byte is rejected at load with an IoError naming the
-// failing section.  Any other version (the unchecksummed version 1
-// included) is refused as an unsupported format version.
+// and every save is durable (util/durable_file.hpp: `<path>.tmp`,
+// fsync, rename, directory fsync), so neither a crash nor a power cut
+// mid-save leaves a torn bundle at the target path, and a save that
+// returned survives both.  Any single flipped byte is rejected at load
+// with an IoError naming the failing section.  Any other version (the
+// unchecksummed version 1 included) is refused as an unsupported format
+// version.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +36,8 @@ namespace cfsf::core {
 /// The on-disk format version (checksummed sections + trailer).
 inline constexpr std::uint32_t kModelFormatVersion = 2;
 
-/// Writes the fitted model atomically (tmp + rename); throws IoError on
-/// I/O failure and ConfigError if the model is not fitted.
+/// Writes the fitted model durably (util::WriteFileDurably); throws
+/// IoError on I/O failure and ConfigError if the model is not fitted.
 void SaveModel(const CfsfModel& model, const std::string& path);
 
 /// Reads a model bundle; throws IoError on missing/corrupt/mismatched
@@ -49,6 +51,9 @@ std::unique_ptr<CfsfModel> LoadModel(const std::string& path);
 
 /// Structural verification without reconstructing the model: checks
 /// magic, version, section sizes and CRCs, and the whole-file trailer.
+/// It reads what the file system returns (right after a save, the page
+/// cache), so it proves the saved bytes are intact, not that they are on
+/// disk: that is the save's fsync.
 /// Throws IoError naming the first failure; returns the per-section
 /// report on success.  `cfsf_cli verify-model` is the CLI front end.
 struct VerifyReport {

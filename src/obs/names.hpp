@@ -160,8 +160,9 @@ inline constexpr FailPointInfo kFailPoints[] = {
     {"movielens.open", "`data::LoadUData` open", "`InjectedFault`"},
     {"movielens.parse_line", "per u.data line",
      "quarantined in lenient mode"},
-    {"model_io.save.write", "inside the atomic-save body",
-     "target left intact"},
+    {"model_io.save.write",
+     "`SaveModel`, after serialization, before the durable write",
+     "target left intact, no `.tmp` left"},
     {"model_io.load.open", "`LoadModel` open",
      "`IoError`; `ckpt::Recover` falls back to the previous checkpoint"},
     {"model_io.load.read", "`LoadModel` whole-file read",
@@ -184,7 +185,8 @@ inline constexpr FailPointInfo kFailPoints[] = {
      "record refused (`IoError`); log stays serviceable"},
     {"wal.fsync", "`WriteAheadLog` durability barrier",
      "log fail-stops; serving degrades to read-only"},
-    {"wal.rotate", "segment rotation, before tmp+rename",
+    {"wal.rotate",
+     "segment rotation, before the new segment's durable write",
      "log fail-stops; serving degrades to read-only"},
     {"wal.replay", "`ReplayLog` scan entry",
      "recovery aborts with `IoError`"},

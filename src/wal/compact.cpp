@@ -1,18 +1,14 @@
 #include "wal/compact.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "obs/failpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "util/durable_file.hpp"
 #include "util/error.hpp"
 #include "wal/format.hpp"
 
@@ -89,27 +85,17 @@ CompactResult CompactWal(const std::string& dir,
 
   CFSF_FAILPOINT("wal.compact");
 
+  // Oldest first, each unlink durable before the next, so a power cut
+  // mid-pass still leaves a contiguous suffix.  A failure leaves the
+  // directory's durability unknowable: it propagates, and the caller
+  // fail-stops.
   for (std::size_t i = 0; i < removable; ++i) {
-    if (::unlink(segments[i].path.c_str()) != 0) {
-      throw util::IoError("wal compact: cannot unlink " +
-                          segments[i].path.string() + ": " +
-                          std::strerror(errno));
-    }
+    const std::string name = segments[i].path.filename().string();
+    util::RemoveFileDurably(dir, name);
     ++result.removed_segments;
     result.removed_bytes += segments[i].bytes;
-    result.removed.push_back(segments[i].path.filename().string());
+    result.removed.push_back(name);
   }
-  // The unlinks must reach disk before the checkpoint that justified
-  // them is trusted to be the only copy — and a failure here leaves
-  // durability of the directory unknowable: fail stop.
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd < 0 || ::fsync(dir_fd) != 0) {
-    const std::string why = std::strerror(errno);
-    if (dir_fd >= 0) ::close(dir_fd);
-    throw util::IoError("wal compact: cannot fsync directory " + dir + ": " +
-                        why);
-  }
-  ::close(dir_fd);
 
   result.first_retained_lsn = segments[removable].first_lsn;
   obs::MetricsRegistry::Global()

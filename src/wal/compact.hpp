@@ -9,10 +9,11 @@
 //   * a segment is removable iff it is not the tail and its successor's
 //     first_lsn <= watermark + 1 (i.e. every record it holds has
 //     lsn <= watermark);
-//   * segments are removed oldest-first, and the directory is fsynced
-//     after the unlinks, so a crash mid-compaction leaves a log that is
-//     still a contiguous, replayable suffix (possibly with more history
-//     than strictly needed — never less);
+//   * segments are removed oldest-first through util::RemoveFileDurably
+//     (unlink, then directory fsync), each durable before the next, so
+//     a crash or power cut mid-compaction leaves a log that is still a
+//     contiguous, replayable suffix (possibly with more history than
+//     strictly needed — never less);
 //   * the tail segment is never removed, so a live WriteAheadLog
 //     appending concurrently is unaffected (appends only touch the
 //     tail; rotation only creates higher-seq segments).

@@ -31,9 +31,9 @@
 //                       the dedup window survives a restart
 //     u32  crc32        of the preceding 28 bytes
 //
-// Segments are created with the bundle-v2 atomic discipline: header
-// written to `<name>.tmp`, fsynced, renamed, directory fsynced.  A
-// `.tmp` leftover is never part of the log; recovery removes it.
+// Segments are created through util::WriteFileDurably: header written
+// to `<name>.tmp`, fsynced, renamed, directory fsynced.  A `.tmp`
+// leftover is never part of the log; recovery removes it.
 #pragma once
 
 #include <cstddef>

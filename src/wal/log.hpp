@@ -14,10 +14,13 @@
 //                          never a corrupt or duplicated record
 //
 // Records are fixed-size CRC-framed triples (wal/format.hpp) in
-// size-capped segments rotated with the bundle-v2 tmp+rename
-// discipline.  Every Append runs the fsync barrier before it returns,
-// so there is one durability rule: a record is acked, and drainable,
-// exactly when it is durable.
+// size-capped segments.  Each segment is created through
+// util::WriteFileDurably (header to a tmp file, fsync, rename,
+// directory fsync) and then opened for append; the frame write and the
+// fsync barrier go through util::WriteAll and util::SyncFile.  Every
+// Append runs the barrier before it returns, so there is one
+// durability rule: a record is acked, and drainable, exactly when it is
+// durable.
 //
 // Failure discipline is fail-stop: an fsync or rotation failure leaves
 // the log's durability state unknowable, so the log poisons itself and
@@ -87,7 +90,7 @@ struct AckedRecord {
 
 class WriteAheadLog {
  public:
-  /// Opens (creating the directory if needed) and recovers: replays
+  /// Opens (creating the directory durably if needed) and recovers: replays
   /// existing segments with repair (torn tail truncated on disk, tmp
   /// leftovers removed) and positions the next append after the last
   /// durable record.  When `recovered` is non-null the replayed records
@@ -138,12 +141,16 @@ class WriteAheadLog {
   const std::string& dir() const { return dir_; }
   const WalOptions& options() const { return options_; }
 
-  /// Graceful shutdown: final barrier, close.  Idempotent; the
-  /// destructor calls it (swallowing errors).
+  /// Graceful shutdown: closes the tail segment.  No barrier is left to
+  /// run — every acked record was fsynced before its Append returned.
+  /// Idempotent; the destructor calls it.
   void Close() CFSF_BLOCKING CFSF_EXCLUDES(mutex_);
 
  private:
   void CreateSegmentLocked(std::uint64_t seq, std::uint64_t first_lsn)
+      CFSF_REQUIRES(mutex_);
+  /// Makes segment `seq`, `bytes` long, the append target.
+  void OpenSegmentLocked(std::uint64_t seq, std::uint64_t bytes)
       CFSF_REQUIRES(mutex_);
   void RotateLocked() CFSF_REQUIRES(mutex_);
   /// The durability barrier: fsyncs the tail segment.  Poisons and
@@ -161,8 +168,8 @@ class WriteAheadLog {
   mutable util::Mutex mutex_;
   bool healthy_ CFSF_GUARDED_BY(mutex_) = false;
   std::string unavailable_reason_ CFSF_GUARDED_BY(mutex_);
-  int fd_ CFSF_GUARDED_BY(mutex_) = -1;      // tail segment
-  int dir_fd_ CFSF_GUARDED_BY(mutex_) = -1;  // for directory fsync
+  int fd_ CFSF_GUARDED_BY(mutex_) = -1;  // tail segment
+  std::string segment_path_ CFSF_GUARDED_BY(mutex_);
   std::uint64_t segment_seq_ CFSF_GUARDED_BY(mutex_) = 0;
   std::uint64_t segment_bytes_ CFSF_GUARDED_BY(mutex_) = 0;
   std::uint64_t next_lsn_ CFSF_GUARDED_BY(mutex_) = 1;

@@ -9,6 +9,7 @@
 #include "obs/failpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "util/durable_file.hpp"
 #include "util/error.hpp"
 #include "wal/format.hpp"
 
@@ -171,8 +172,12 @@ ReplayResult ReplayLog(const std::string& dir, const ReplayOptions& options) {
 
   if (options.repair) {
     for (const fs::path& tmp : leftovers) {
-      std::error_code remove_ec;
-      if (fs::remove(tmp, remove_ec)) ++result.removed_tmp;
+      try {
+        util::RemoveFileDurably(dir, tmp.filename().string());
+        ++result.removed_tmp;
+      } catch (const util::IoError&) {
+        // Best-effort: a leftover that stays is still not part of the log.
+      }
     }
   }
 

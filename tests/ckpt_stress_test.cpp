@@ -40,15 +40,14 @@ constexpr std::uint32_t kItems = 40;
 constexpr std::size_t kAppenders = 4;
 constexpr std::size_t kAppendsPerThread = 120;
 
-// `max_ratings_per_user` below kItems leaves unrated cells to fold.
-std::unique_ptr<core::CfsfModel> TinySeed(
-    std::size_t max_ratings_per_user = data::SyntheticConfig{}
-                                           .max_ratings_per_user) {
+// At most 20 ratings per user of kItems: at least 600 unrated cells
+// are left to fold.
+std::unique_ptr<core::CfsfModel> TinySeed() {
   data::SyntheticConfig dconfig;
   dconfig.num_users = kUsers;
   dconfig.num_items = kItems;
   dconfig.min_ratings_per_user = 8;
-  dconfig.max_ratings_per_user = max_ratings_per_user;
+  dconfig.max_ratings_per_user = 20;
   dconfig.seed = 77;
   core::CfsfConfig config;
   config.num_clusters = 4;
@@ -59,6 +58,26 @@ std::unique_ptr<core::CfsfModel> TinySeed(
   return model;
 }
 
+// The first `count` cells `seed` leaves unrated, item-major.
+std::vector<matrix::RatingTriple> FreshCells(const core::CfsfModel& seed,
+                                             std::size_t count) {
+  std::vector<matrix::RatingTriple> fresh;
+  for (matrix::ItemId item = 0; item < kItems; ++item) {
+    for (matrix::UserId user = 0; user < kUsers; ++user) {
+      if (fresh.size() < count &&
+          !seed.train().GetRating(user, item).has_value()) {
+        fresh.push_back(matrix::RatingTriple{
+            user, item, static_cast<matrix::Rating>(1 + fresh.size() % 5),
+            0});
+      }
+    }
+  }
+  return fresh;
+}
+
+// Every append lands on a cell the seed leaves unrated, so each fold
+// grows the matrix and the concurrent checkpoints save a matrix that
+// grows.
 TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
   const std::string root =
       (fs::path(::testing::TempDir()) / "cfsf_ckpt_stress").string();
@@ -66,8 +85,14 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
   fs::create_directories(root);
   const std::string wal_dir = root + "/wal";
   const std::string ckpt_dir = root + "/ckpt";
+  constexpr std::uint64_t kTotal = kAppenders * kAppendsPerThread;
 
   {
+    const std::shared_ptr<core::CfsfModel> seed = TinySeed();
+    const std::size_t seed_ratings = seed->train().num_ratings();
+    const std::vector<matrix::RatingTriple> fresh = FreshCells(*seed, kTotal);
+    ASSERT_EQ(fresh.size(), kTotal);
+
     wal::WalOptions wal_options;
     wal_options.max_segment_bytes =
         wal::kSegmentHeaderBytes + 16 * wal::kRecordBytes;
@@ -75,7 +100,7 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
     serve::ModelGeneration models;
     serve::DeltaFolderOptions folder_options;
     folder_options.poll_interval = std::chrono::milliseconds(2);
-    serve::DeltaFolder folder(log, models, TinySeed(), folder_options);
+    serve::DeltaFolder folder(log, models, seed, folder_options);
     folder.PublishNow();
     ckpt::CheckpointOptions ckpt_options;
     ckpt_options.dir = ckpt_dir;
@@ -86,18 +111,14 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
     folder.Start();
     manager.Start();
 
-    // Appenders: every record is in-matrix and carries a unique
-    // request id, so dedup tables churn while nothing actually dedups.
+    // Appenders: the fresh cells dealt round-robin, each record with a
+    // unique request id, so dedup tables churn while nothing actually
+    // dedups.
     std::vector<std::thread> appenders;
     for (std::size_t t = 0; t < kAppenders; ++t) {
       appenders.emplace_back([&, t] {
         for (std::size_t i = 0; i < kAppendsPerThread; ++i) {
-          matrix::RatingTriple record;
-          record.user = static_cast<matrix::UserId>(t % kUsers);
-          record.item = static_cast<matrix::ItemId>(i % kItems);
-          record.value = static_cast<matrix::Rating>(1.0 + (i % 9) * 0.5);
-          record.timestamp =
-              static_cast<matrix::Timestamp>(1000000000 + t * 1000 + i);
+          const matrix::RatingTriple& record = fresh[i * kAppenders + t];
           const wal::AppendAck ack =
               log.Append(record, /*require_durable=*/true,
                          /*request_id=*/1 + t * kAppendsPerThread + i);
@@ -145,13 +166,14 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
     folder.FoldOnce();  // drain whatever raced the Stop()
 
     // Consistency: every acked record was drained exactly once (all
-    // in-matrix, so none skipped), and the fold watermark reached the
-    // last assigned lsn.
-    constexpr std::uint64_t kTotal = kAppenders * kAppendsPerThread;
+    // in-matrix, so none skipped), the fold watermark reached the last
+    // assigned lsn, and the served matrix grew by one cell per record.
     EXPECT_EQ(log.next_lsn(), kTotal + 1);
     EXPECT_EQ(folder.folded_records(), kTotal);
     EXPECT_EQ(folder.skipped_records(), 0u);
     EXPECT_EQ(folder.fold_watermark(), kTotal);
+    EXPECT_EQ(models.Active()->model().train().num_ratings(),
+              seed_ratings + kTotal);
 
     const ckpt::CheckpointStatus status = manager.status();
     EXPECT_GE(status.writes, 1u)
@@ -167,7 +189,7 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
   ckpt::RecoverOptions options;
   options.ckpt_dir = ckpt_dir;
   options.wal_dir = wal_dir;
-  options.seed_model = [] { return TinySeed(); };
+  options.seed_model = TinySeed;
   const ckpt::RecoveryResult result = ckpt::Recover(options);
   EXPECT_FALSE(result.info.degraded_history);
   EXPECT_EQ(result.info.skipped_records, 0u);
@@ -196,20 +218,10 @@ TEST(DeltaFolderStress, ConcurrentFoldsAndPublishesInstallInFoldOrder) {
       (fs::path(::testing::TempDir()) / "cfsf_fold_order_stress").string();
   fs::remove_all(dir);
   {
-    const std::shared_ptr<core::CfsfModel> seed =
-        TinySeed(/*max_ratings_per_user=*/20);
+    const std::shared_ptr<core::CfsfModel> seed = TinySeed();
     const std::size_t seed_ratings = seed->train().num_ratings();
-    std::vector<matrix::RatingTriple> fresh;
-    for (matrix::ItemId item = 0; item < kItems; ++item) {
-      for (matrix::UserId user = 0; user < kUsers; ++user) {
-        if (fresh.size() < kFreshCells &&
-            !seed->train().GetRating(user, item).has_value()) {
-          fresh.push_back(matrix::RatingTriple{
-              user, item, static_cast<matrix::Rating>(1 + fresh.size() % 5),
-              0});
-        }
-      }
-    }
+    const std::vector<matrix::RatingTriple> fresh =
+        FreshCells(*seed, kFreshCells);
     ASSERT_EQ(fresh.size(), kFreshCells);
 
     wal::WriteAheadLog log(dir);

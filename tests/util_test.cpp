@@ -1,12 +1,18 @@
-// Unit tests for cfsf::util — RNG, strings, tables, args, logging, errors.
+// Unit tests for cfsf::util — RNG, strings, tables, args, logging, errors,
+// durable files.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/args.hpp"
+#include "util/durable_file.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -366,6 +372,91 @@ TEST(Errors, HierarchyIsCatchable) {
 TEST(Errors, RequireMacroThrowsConfigError) {
   const auto boom = [] { CFSF_REQUIRE(1 == 2, "math broke"); };
   EXPECT_THROW(boom(), ConfigError);
+}
+
+// ------------------------------------------------------- durable file ----
+
+namespace fs = std::filesystem;
+
+class DurableFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = (fs::path(::testing::TempDir()) /
+            ("cfsf_durable_" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name())))
+               .string();
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override {
+    SetDurableObserver(nullptr);
+    fs::remove_all(dir_);
+  }
+
+  static std::string Slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
+  std::string dir_;
+};
+
+TEST_F(DurableFileTest, ObserverSeesWriteFsyncRenameThenDirectoryFsync) {
+  using Kind = DurableOp::Kind;
+  std::vector<Kind> kinds;
+  std::vector<std::string> paths;
+  SetDurableObserver([&](const DurableOp& op) {
+    kinds.push_back(op.kind);
+    paths.emplace_back(op.path);
+  });
+  WriteFileDurably(dir_, "f", {"ab", "cd"});
+  SetDurableObserver(nullptr);
+
+  const std::string tmp = dir_ + "/f.tmp";
+  EXPECT_EQ(kinds, (std::vector<Kind>{Kind::kCreate, Kind::kWrite,
+                                      Kind::kWrite, Kind::kFsync,
+                                      Kind::kRename, Kind::kDirFsync}));
+  EXPECT_EQ(paths, (std::vector<std::string>{tmp, tmp, tmp, tmp, tmp, dir_}));
+  EXPECT_EQ(Slurp(dir_ + "/f"), "abcd");
+  EXPECT_FALSE(fs::exists(tmp));
+}
+
+TEST_F(DurableFileTest, RenameOntoANonEmptyDirectoryThrowsAndLeavesNoTmp) {
+  const std::string target = dir_ + "/taken";
+  fs::create_directories(target);
+  { std::ofstream(target + "/keep") << "kept"; }
+  try {
+    WriteFileDurably(dir_, "taken", {"bytes"});
+    ADD_FAILURE() << "a file was renamed over a non-empty directory";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(target), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(fs::exists(target + ".tmp"));
+  ASSERT_TRUE(fs::is_directory(target));
+  EXPECT_EQ(std::distance(fs::directory_iterator(target),
+                          fs::directory_iterator()),
+            1);
+  EXPECT_EQ(Slurp(target + "/keep"), "kept");
+}
+
+TEST_F(DurableFileTest, AMissingParentDirectoryThrowsAndCreatesNothing) {
+  const std::string absent = dir_ + "/absent";
+  try {
+    WriteFileDurably(absent, "f", {"bytes"});
+    ADD_FAILURE() << "wrote into a directory that does not exist";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(absent), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(fs::is_empty(dir_));
+}
+
+TEST_F(DurableFileTest, RemovingAMissingFileThrows) {
+  EXPECT_THROW(RemoveFileDurably(dir_, "absent"), IoError);
 }
 
 }  // namespace

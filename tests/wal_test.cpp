@@ -10,10 +10,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "matrix/types.hpp"
 #include "util/crc32.hpp"
+#include "util/durable_file.hpp"
 #include "util/error.hpp"
 #include "wal/format.hpp"
 #include "wal/log.hpp"
@@ -251,6 +253,38 @@ TEST_F(WalTest, ValidationRejectsAbsurdOptions) {
   wal::WalOptions options;
   options.max_segment_bytes = 8;  // cannot hold header + one record
   EXPECT_THROW(wal::WriteAheadLog(dir_, options), util::Error);
+}
+
+// A log opened on a path with missing levels must make each new
+// directory durable (its mkdir, then its parent's fsync) before the first
+// segment is renamed into it; reopening creates nothing.
+TEST_F(WalTest, AFreshNestedDirectoryIsDurableBeforeTheFirstSegment) {
+  using Kind = util::DurableOp::Kind;
+  const std::string parent = dir_ + "/nested";
+  const std::string wal_dir = parent + "/wal";
+  std::vector<std::pair<Kind, std::string>> ops;
+  util::SetDurableObserver([&ops](const util::DurableOp& op) {
+    ops.emplace_back(op.kind, std::string(op.path));
+  });
+  { wal::WriteAheadLog log(wal_dir); }
+  const auto at = [&ops](Kind kind, const std::string& path) {
+    std::size_t i = 0;
+    while (i < ops.size() && ops[i] != std::make_pair(kind, path)) ++i;
+    return i;
+  };
+  const std::size_t rename =
+      at(Kind::kRename, wal_dir + "/" + wal::SegmentFileName(1) + ".tmp");
+  ASSERT_LT(rename, ops.size()) << "the first segment was never renamed";
+  for (const std::string& level : {dir_, parent, wal_dir}) {
+    const std::string above = fs::path(level).parent_path().string();
+    EXPECT_LT(at(Kind::kMkdir, level), at(Kind::kDirFsync, above)) << level;
+    EXPECT_LT(at(Kind::kDirFsync, above), rename) << level;
+  }
+
+  ops.clear();
+  { wal::WriteAheadLog log(wal_dir); }
+  util::SetDurableObserver(nullptr);
+  EXPECT_TRUE(ops.empty()) << ops.size() << " operations on reopen";
 }
 
 // ------------------------------------------------------------- close ----

@@ -51,6 +51,11 @@
 //                        util::SleepFor (util/backoff.hpp) so every sleep
 //                        is findable from one site; that implementation
 //                        itself is exempt.
+//   raw-durable-io-in-library  fsync/fdatasync/rename/unlink calls and
+//                        std::filesystem rename/remove/remove_all/
+//                        create_directory/create_directories in src/ —
+//                        how a file becomes durable is decided in one
+//                        module, src/util/durable_file, which is exempt.
 //
 // Token rules (cross-line, src/ only):
 //
@@ -92,7 +97,9 @@
 //                           the names.hpp inventory table, be listed in
 //                           docs/ROBUSTNESS.md, and be armed by at
 //                           least one fault-labelled test; inventory
-//                           rows with no site are stale and fail too.
+//                           rows with no site, and rows of the docs'
+//                           "Instrumented sites" table with no
+//                           inventory entry, are stale and fail too.
 //   unknown-ctest-label     every literal ctest label in a CMakeLists
 //                           must be one of unit/integration/stress/
 //                           lint/fault.
@@ -397,6 +404,17 @@ const std::vector<LineRule>& LineRules() {
            R"(\bstd\s*::\s*this_thread\s*::\s*sleep_(for|until)\b|\bsleep_(for|until)\s*\(|\b(usleep|nanosleep)\s*\()"),
        true,
        {"src/util/backoff"}},
+      {"raw-durable-io-in-library",
+       "raw fsync/rename/unlink or std::filesystem create/rename/remove in "
+       "library code; go through util/durable_file.hpp so one module "
+       "decides how a file becomes durable",
+       std::regex(
+           R"((^|[^\w.>:])(::\s*)?(fsync|fdatasync|rename|unlink)\s*\()"
+           R"(|\bstd\s*::\s*(rename|unlink)\s*\()"
+           R"(|\b(fs|filesystem)\s*::\s*(rename|remove|remove_all|)"
+           R"(create_directory|create_directories)\s*\()"),
+       true,
+       {"src/util/durable_file"}},
   };
   return rules;
 }
@@ -1965,6 +1983,7 @@ void AnalyzeRepo(const RepoIndex& repo, const LayerSpec* spec,
   for (const auto& [path, content] : repo.cmake) {
     lines.emplace(path, SplitLines(content));
   }
+  lines.emplace(kRobustnessDocPath, SplitLines(repo.robustness_doc));
 
   const auto emit_chain = [&lines, &out](const std::string& path,
                                          std::size_t line_no,
@@ -2229,6 +2248,28 @@ void AnalyzeRepo(const RepoIndex& repo, const LayerSpec* spec,
       }
     }
 
+    // (b') the rows of the "Instrumented sites" table: the block that
+    //      `cfsf_cli list-failpoints --markdown` emits, from its header
+    //      line to the first line that is not a table row.
+    std::vector<std::pair<std::string, std::size_t>> table_rows;
+    {
+      static const std::regex row(R"(^\|\s*`([^`]+)`\s*\|)");
+      const std::vector<std::string>& doc_lines = lines.at(kRobustnessDocPath);
+      bool in_table = false;
+      for (std::size_t ln = 0; ln < doc_lines.size(); ++ln) {
+        const std::string& text = doc_lines[ln];
+        if (text.rfind("| name | location | fires as |", 0) == 0) {
+          in_table = true;
+          continue;
+        }
+        in_table = in_table && !text.empty() && text[0] == '|';
+        std::smatch match;
+        if (in_table && std::regex_search(text, match, row)) {
+          table_rows.emplace_back(match[1].str(), ln + 1);
+        }
+      }
+    }
+
     // (c) every string literal in a fault-labelled test
     //     (`cfsf_test(<name> LABEL fault)` -> <cmake dir>/<name>.cpp).
     std::set<std::string> fault_armed;
@@ -2296,6 +2337,15 @@ void AnalyzeRepo(const RepoIndex& repo, const LayerSpec* spec,
              "inventory row `" + name +
                  "` has no CFSF_FAILPOINT site in src/ — stale entry, "
                  "remove it");
+      }
+    }
+    for (const auto& [name, line_no] : table_rows) {
+      if (inventory.count(name) == 0) {
+        emit(kRobustnessDocPath, line_no, "undocumented-failpoint",
+             "docs/ROBUSTNESS.md row `" + name +
+                 "` has no kFailPoints entry (src/obs/names.hpp) — stale "
+                 "row; regenerate the table with `cfsf_cli list-failpoints "
+                 "--markdown`");
       }
     }
   }
@@ -2493,6 +2543,25 @@ const std::vector<SelfTestCase>& SelfTestCases() {
        "std::this_thread::sleep_for(std::chrono::milliseconds(5));\n", ""},
       {"sleep in backoff home clean", "src/util/backoff.cpp",
        "std::this_thread::sleep_for(duration);\n", ""},
+      {"raw fsync in library fires", "src/x.cpp",
+       "if (::fsync(fd) != 0) fail();\n", "raw-durable-io-in-library"},
+      {"bare rename in library fires", "src/x.cpp",
+       "rename(tmp.c_str(), path.c_str());\n", "raw-durable-io-in-library"},
+      {"fs::remove in library fires", "src/x.cpp",
+       "fs::remove(path, ec);\n", "raw-durable-io-in-library"},
+      {"std::filesystem::create_directories in library fires", "src/x.cpp",
+       "std::filesystem::create_directories(dir);\n",
+       "raw-durable-io-in-library"},
+      {"durable-file module clean", "src/util/durable_file.cpp",
+       "::fsync(fd);\n::rename(tmp, path);\n::unlink(tmp);\n", ""},
+      {"raw durable io in tests clean", "tests/x.cpp",
+       "::fsync(fd);\nfs::remove_all(dir);\n", ""},
+      {"std::remove algorithm and member rename clean", "src/x.cpp",
+       "v.erase(std::remove(v.begin(), v.end(), 0), v.end());\n"
+       "table.rename(column);\n",
+       ""},
+      {"durable-file calls clean", "src/x.cpp",
+       "util::RemoveFileDurably(dir, name);\n", ""},
 
       // --- raw-mutex-in-library ------------------------------------------
       {"std::mutex in library fires", "src/x.cpp",
@@ -2663,6 +2732,18 @@ const std::vector<CrossTestCase>& CrossTestCases() {
        ""},
       {"stale inventory row fires",
        {{kNamesHeaderPath, kNamesWithBoom}},
+       "undocumented-failpoint"},
+      {"stale robustness table row fires",
+       {{kNamesHeaderPath, kNamesWithBoom},
+        {kRobustnessDocPath,
+         "| name | location | fires as |\n"
+         "|------|----------|----------|\n"
+         "| `core.boom` | site | effect |\n"
+         "| `serve.swap.load` | site | effect |\n"},
+        {"tests/CMakeLists.txt", "cfsf_test(boom_test LABEL fault)\n"},
+        {"tests/boom_test.cpp", "void T() { Arm(\"core.boom\"); }\n"},
+        {"src/core/model.cpp",
+         "void F() { CFSF_FAILPOINT(\"core.boom\"); }\n"}},
        "undocumented-failpoint"},
       // --- unknown-ctest-label ---------------------------------------------
       {"unknown ctest label fires",
@@ -2849,13 +2930,14 @@ int RunSelfTest(const std::string& fixtures_dir) {
   // mini repo, then over a marker-suppressed twin of every firing case.
   const auto with_markers = [](const std::string& content,
                                const std::string& rule,
-                               const std::string& comment_lead) {
+                               const std::string& comment_lead,
+                               const std::string& comment_tail = "") {
     std::string marked;
     std::istringstream stream(content);
     std::string line;
     while (std::getline(stream, line)) {
       marked += line + "  " + comment_lead + " cfsf-lint: allow(" + rule +
-                ")\n";
+                ")" + comment_tail + "\n";
     }
     return marked;
   };
@@ -2882,8 +2964,11 @@ int RunSelfTest(const std::string& fixtures_dir) {
     if (test.expect_rule.empty()) continue;
     std::vector<std::pair<std::string, std::string>> suppressed_files;
     for (const auto& [path, content] : test.files) {
-      if (path == kLayersSpecPath || path == kRobustnessDocPath) {
+      if (path == kLayersSpecPath) {
         suppressed_files.emplace_back(path, content);
+      } else if (path == kRobustnessDocPath) {
+        suppressed_files.emplace_back(
+            path, with_markers(content, test.expect_rule, "<!--", " -->"));
       } else if (fs::path(path).filename() == "CMakeLists.txt") {
         suppressed_files.emplace_back(
             path, with_markers(content, test.expect_rule, "#"));
