@@ -11,7 +11,6 @@
 #include "obs/failpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "util/backoff.hpp"
 #include "util/durable_file.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -56,8 +55,8 @@ CheckpointManager::CheckpointManager(serve::DeltaFolder& folder,
                "CheckpointManager: keep_last must be >= 1");
   util::CreateDirectoriesDurably(options_.dir);
   // Resume numbering past whatever a previous process left behind, and
-  // adopt the newest readable manifest so the first cadence tick does
-  // not rewrite an identical checkpoint.
+  // adopt the newest readable manifest so the first background attempt
+  // does not rewrite an identical checkpoint.
   const std::vector<std::uint64_t> ids = ListCheckpointIds(options_.dir);
   util::MutexLock lock(&mutex_);
   for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
@@ -232,6 +231,7 @@ void CheckpointManager::Stop() {
     util::MutexLock lock(&mutex_);
     if (!running_) return;
     stop_ = true;
+    stop_cv_.NotifyAll();
   }
   if (thread_.joinable()) thread_.join();
   util::MutexLock lock(&mutex_);
@@ -239,27 +239,24 @@ void CheckpointManager::Stop() {
 }
 
 void CheckpointManager::Loop() {
-  // Tick faster than the checkpoint interval so Stop() stays
-  // responsive; checkpoint only when the interval has elapsed.
-  const auto tick = std::min<std::chrono::milliseconds>(
-      options_.interval, std::chrono::milliseconds(50));
-  auto last = std::chrono::steady_clock::now();
+  // Each attempt is due `interval` after the previous one started.
+  auto next = std::chrono::steady_clock::now() + options_.interval;
   for (;;) {
     {
       util::MutexLock lock(&mutex_);
+      // True means notified (Stop) or a spurious wake-up; false means
+      // the deadline passed.
+      while (!stop_ && stop_cv_.WaitUntil(lock, next)) {
+      }
       if (stop_) return;
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now - last >= options_.interval) {
-      last = now;
-      try {
-        CheckpointNow();
-      } catch (const util::Error&) {
-        // Already counted in failures_/ckpt.write.failures; the next
-        // tick retries with a fresh id.
-      }
+    next = std::chrono::steady_clock::now() + options_.interval;
+    try {
+      CheckpointNow();
+    } catch (const util::Error&) {
+      // Already counted in failures_/ckpt.write.failures; the next
+      // attempt retries with a fresh id.
     }
-    util::SleepFor(tick);
   }
 }
 

@@ -40,7 +40,7 @@
 // failure is fail-stop: after one unlink/fsync error the manager never
 // compacts again (checkpoints keep being written; the log grows until
 // an operator intervenes).  Checkpoint failure is not: the next
-// cadence tick retries with a fresh id.
+// attempt, `interval` later, retries with a fresh id.
 //
 // Failpoints: ckpt.write (step 2 entry), ckpt.manifest (step 3 entry),
 // wal.compact (step 5, inside CompactWal).  Metrics: ckpt.writes,
@@ -65,8 +65,9 @@ struct CheckpointOptions {
   /// Checkpoints retained for corruption fallback (the compaction
   /// bound); must be >= 1.
   std::size_t keep_last = 2;
-  /// Background cadence of Start()'s thread (also the Stop() latency
-  /// bound); each tick checkpoints only when the watermark advanced.
+  /// Background cadence of Start()'s thread: an attempt starts this
+  /// long after the previous one started, and writes a checkpoint only
+  /// when the watermark advanced.  Stop() does not wait it out.
   std::chrono::milliseconds interval{5000};
 };
 
@@ -93,9 +94,10 @@ class CheckpointManager {
   CheckpointManager(const CheckpointManager&) = delete;
   CheckpointManager& operator=(const CheckpointManager&) = delete;
 
-  /// One synchronous checkpoint (the admin/CLI trigger and the cadence
-  /// body).  Returns the new checkpoint id, or 0 when skipped because
-  /// the fold watermark has not advanced past the last checkpoint.
+  /// One synchronous checkpoint (the admin/CLI trigger and the
+  /// background loop's body).  Returns the new checkpoint id, or 0 when
+  /// skipped because the fold watermark has not advanced past the last
+  /// checkpoint.
   /// Throws util::IoError on write/verify failure — no manifest names
   /// the checkpoint in that case.  Compaction errors do not
   /// throw; they fail-stop compaction and surface in status().
@@ -130,7 +132,9 @@ class CheckpointManager {
   std::string last_error_ CFSF_GUARDED_BY(mutex_);
   bool stop_ CFSF_GUARDED_BY(mutex_) = false;
   bool running_ CFSF_GUARDED_BY(mutex_) = false;
-  /// Serializes whole checkpoints (CheckpointNow vs the cadence tick)
+  /// Wakes Loop()'s wait for its next attempt when Stop() sets stop_.
+  util::CondVar stop_cv_;
+  /// Serializes whole checkpoints (CheckpointNow vs the background loop)
   /// without holding mutex_ across the I/O.  Lock order: io_mutex_
   /// before mutex_, always.
   util::Mutex io_mutex_;

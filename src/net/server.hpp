@@ -42,8 +42,10 @@
 // Metrics: net.conn.accepted / net.conn.rejected_busy / net.conn.dropped
 // counters, net.conn.active gauge, net.http.requests / net.http.responses
 // / net.http.malformed / net.http.write_errors / net.idle_closed
-// counters and the net.http.latency_us histogram (accept-to-flush per
-// request).
+// counters and the net.http.latency_us histogram: per request, from the
+// moment it is fully parsed until its response is written (handling,
+// serialization and the write).  The accept, the wait for a worker, the
+// read and the parse come before that clock starts.
 #pragma once
 
 #include <chrono>

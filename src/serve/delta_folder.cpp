@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/timer.hpp"
-#include "util/backoff.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -17,13 +16,16 @@ namespace {
 
 // Minimum spacing of the skipped-records warning log line.
 constexpr std::chrono::seconds kSkipWarnInterval{10};
+// How long the background thread waits before retrying a fold that
+// threw.  The failed batch is already drained, so no ack would wake it.
+constexpr std::chrono::milliseconds kFoldRetryDelay{20};
 
 struct FoldMetrics {
   obs::Counter& folded;
   obs::Counter& skipped;
   obs::Counter& publishes;
   obs::Counter& failures;
-  obs::Gauge& staleness_us;
+  obs::Histogram& staleness_us;
   obs::Histogram& fold_latency_us;
 
   static FoldMetrics& Instance() {
@@ -34,7 +36,8 @@ struct FoldMetrics {
           registry.GetCounter(obs::names::kWalFoldSkipped),
           registry.GetCounter(obs::names::kWalFoldPublishes),
           registry.GetCounter(obs::names::kWalFoldFailures),
-          registry.GetGauge(obs::names::kWalStalenessUs),
+          registry.GetHistogram(obs::names::kWalStalenessUs,
+                                obs::LatencyBucketsUs()),
           registry.GetHistogram(obs::names::kWalFoldLatencyUs,
                                 obs::LatencyBucketsUs()),
       };
@@ -47,11 +50,11 @@ struct FoldMetrics {
 
 DeltaFolder::DeltaFolder(wal::WriteAheadLog& log, ModelGeneration& models,
                          std::shared_ptr<core::CfsfModel> model,
-                         const DeltaFolderOptions& options)
-    : log_(log), models_(models), options_(options), model_(std::move(model)) {
+                         std::uint64_t initial_watermark)
+    : log_(log), models_(models), model_(std::move(model)) {
   CFSF_REQUIRE(model_ != nullptr, "DeltaFolder: model required");
   util::MutexLock lock(&mutex_);
-  watermark_ = options_.initial_watermark;
+  watermark_ = initial_watermark;
 }
 
 DeltaFolder::~DeltaFolder() { Stop(); }
@@ -70,25 +73,27 @@ std::uint64_t DeltaFolder::PublishNow() {
 std::size_t DeltaFolder::FoldOnce() {
   FoldMetrics& metrics = FoldMetrics::Instance();
   std::vector<matrix::RatingTriple> ratings;
+  // When each of `ratings` was acked, for wal.staleness_us.
+  std::vector<std::chrono::steady_clock::time_point> acked_at;
+  std::chrono::steady_clock::time_point visible_at;
   bool published = false;
   std::size_t drained = 0;
   std::size_t skipped = 0;
   std::uint64_t skipped_total = 0;
   bool warn_skipped = false;
-  std::chrono::steady_clock::time_point oldest_ack;
   {
     util::MutexLock lock(&mutex_);
     // Drained under the lock, behind what a failed fold left: every batch
     // is in lsn order, so a re-rated cell keeps its later rating.
     log_.DrainAcked(&unfolded_);
     if (unfolded_.empty()) return 0;
-    oldest_ack = unfolded_.front().acked_at;
     ratings.reserve(unfolded_.size());
+    acked_at.reserve(unfolded_.size());
     for (const wal::AckedRecord& acked : unfolded_) {
-      oldest_ack = std::min(oldest_ack, acked.acked_at);
       const matrix::RatingTriple& r = acked.record;
       if (r.user < model_->NumUsers() && r.item < model_->NumItems()) {
         ratings.push_back(r);
+        acked_at.push_back(acked.acked_at);
       } else {
         // Out-of-range ids are durable but not foldable: a fold never
         // enrols (CfsfModel::WithNewUser is a separate path).
@@ -111,6 +116,7 @@ std::size_t DeltaFolder::FoldOnce() {
       // generation), so generations go live in fold order: a concurrent
       // FoldOnce or PublishNow can never install an older model last.
       models_.Install(model_);
+      visible_at = std::chrono::steady_clock::now();
       published = true;
     }
     folded_ += ratings.size();
@@ -143,9 +149,11 @@ std::size_t DeltaFolder::FoldOnce() {
   }
   if (published) {
     metrics.publishes.Increment();
-    metrics.staleness_us.Set(std::chrono::duration<double, std::micro>(
-                                 std::chrono::steady_clock::now() - oldest_ack)
-                                 .count());
+    for (const auto& acked : acked_at) {
+      metrics.staleness_us.Record(
+          std::chrono::duration<double, std::micro>(visible_at - acked)
+              .count());
+    }
   }
   return drained;
 }
@@ -166,27 +174,33 @@ void DeltaFolder::Stop() {
     if (!running_) return;
     stop_ = true;
   }
+  // After stop_ is set: a loop that read stop_ false before this still
+  // finds the sticky wake when it next waits.
+  log_.Wake();
   if (thread_.joinable()) thread_.join();
   util::MutexLock lock(&mutex_);
   running_ = false;
 }
 
 void DeltaFolder::Loop() {
+  auto until = std::chrono::steady_clock::time_point::max();
   for (;;) {
+    log_.WaitForAcked(until);
     {
       util::MutexLock lock(&mutex_);
       if (stop_) return;
     }
     try {
       FoldOnce();
+      until = std::chrono::steady_clock::time_point::max();
     } catch (const util::Error&) {
       // A fold failure (e.g. an injected fault inside WithRatings) must
       // not kill the thread.  The model is untouched, and the failed
       // batch stays in the folder, which folds it first next cycle;
       // until then the watermark stays below it, so no checkpoint
       // covers it.
+      until = std::chrono::steady_clock::now() + kFoldRetryDelay;
     }
-    util::SleepFor(options_.poll_interval);
   }
 }
 

@@ -1,21 +1,24 @@
 // DeltaFolder — folds durably acked ratings into the serving model.
 //
 // The online half of durable ingestion: the WAL makes a rating
-// durable, this folder makes it *visible*.  A background thread drains
-// the log's acked queue, folds each drained batch with one
-// CfsfModel::WithRatings call (no K-means restart) and publishes the
-// new immutable model through ModelGeneration::Install, the only way a
-// generation becomes active.  The install happens under the folder's
-// lock, so generations go live in fold order even when FoldOnce and
-// PublishNow race.  The folder keeps a shared pointer to the model it
-// last published as the base of the next fold; it never mutates or
-// copies a model.  Requests in flight keep the generation they pinned;
-// the next request sees the fold.
+// durable, this folder makes it *visible*.  A background thread waits
+// in WriteAheadLog::WaitForAcked until the log acks a record, drains
+// everything acked since its last fold (so batches grow with load),
+// folds the batch with one CfsfModel::WithRatings call (no K-means
+// restart) and publishes the new immutable model through
+// ModelGeneration::Install, the only way a generation becomes active.
+// The install happens under the folder's lock, so generations go live
+// in fold order even when FoldOnce and PublishNow race.  The folder
+// keeps a shared pointer to the model it last published as the base of
+// the next fold; it never mutates or copies a model.  Requests in
+// flight keep the generation they pinned; the next request sees the
+// fold.
 //
 // Staleness — the time from a record's durable ack to the generation
-// swap that makes it predictable — is first-class: each publish sets
-// the wal.staleness_us gauge to the oldest drained record's ack-to-
-// publish latency.  wal.fold.latency_us times each fold's WithRatings
+// swap that makes it predictable — is first-class: the wal.staleness_us
+// histogram takes one sample per folded record, from its ack to the
+// Install that made it visible (a skipped record is never visible, so
+// it gets none).  wal.fold.latency_us times each fold's WithRatings
 // call.  wal.folded_records / wal.fold.skipped /
 // wal.fold.publishes / wal.fold.failures count the traffic (skipped =
 // user or item outside the model's dimensions).  The fold never enrols:
@@ -30,7 +33,9 @@
 //
 // A fold that throws (serve.fold, or a fault inside WithRatings) keeps
 // its batch: the next cycle folds it first, ahead of the records
-// drained since.
+// drained since.  The log's queue is empty by then, so the background
+// thread retries after a fixed delay rather than waiting for the next
+// ack.  Stop() wakes the thread through WriteAheadLog::Wake.
 //
 // The folder is also the checkpoint subsystem's snapshot source: it
 // tracks the fold watermark — the highest WAL lsn drained into the
@@ -57,16 +62,6 @@
 
 namespace cfsf::serve {
 
-struct DeltaFolderOptions {
-  /// Drain cadence of the background thread (also the Stop() latency
-  /// bound).
-  std::chrono::milliseconds poll_interval{20};
-  /// WAL lsn already folded into the model at construction — the
-  /// checkpoint watermark recovery restored from, so the fold watermark
-  /// never moves backwards across a restart.
-  std::uint64_t initial_watermark = 0;
-};
-
 /// A consistent {model, watermark} pair: every WAL record with
 /// lsn <= watermark is folded into (or recorded as unfoldable against)
 /// the model the folder last published.  What a checkpoint persists.
@@ -80,10 +75,12 @@ class DeltaFolder {
   /// `log` and `models` must outlive the folder.  `model` is the fitted
   /// model the first fold builds on; make it visible with PublishNow()
   /// rather than Install() directly, so that what is served is what the
-  /// folder folds into and checkpoints.
+  /// folder folds into and checkpoints.  `initial_watermark` is the WAL
+  /// lsn already folded into `model` — the watermark recovery restored
+  /// from, so the fold watermark never moves backwards across a restart.
   DeltaFolder(wal::WriteAheadLog& log, ModelGeneration& models,
               std::shared_ptr<core::CfsfModel> model,
-              const DeltaFolderOptions& options = {});
+              std::uint64_t initial_watermark = 0);
   ~DeltaFolder();  // Stop()
 
   DeltaFolder(const DeltaFolder&) = delete;
@@ -117,7 +114,6 @@ class DeltaFolder {
 
   wal::WriteAheadLog& log_;
   ModelGeneration& models_;
-  const DeltaFolderOptions options_;
 
   mutable util::Mutex mutex_;
   /// The last published model (or the constructor's, before the first

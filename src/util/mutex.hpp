@@ -32,6 +32,7 @@
 // lint violation pointing here.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -126,9 +127,9 @@ class CFSF_SCOPED_CAPABILITY MutexLock {
   std::unique_lock<std::mutex> lock_;
 };
 
-/// Condition variable used with MutexLock.  Wait() releases and
-/// reacquires the mutex internally, which is a net no-op for the
-/// analysis, so no annotation is needed (or correct) on it.
+/// Condition variable used with MutexLock.  Wait() and WaitUntil()
+/// release and reacquire the mutex internally, which is a net no-op for
+/// the analysis, so no annotation is needed (or correct) on them.
 class CondVar {
  public:
   CondVar() = default;
@@ -136,6 +137,13 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(MutexLock& lock) { cv_.wait(lock.lock_); }
+  /// Waits until notified (or woken spuriously) or until `deadline`;
+  /// false when it returned because the deadline passed.
+  /// `time_point::max()` waits with no deadline.
+  bool WaitUntil(MutexLock& lock,
+                 std::chrono::steady_clock::time_point deadline) {
+    return cv_.wait_until(lock.lock_, deadline) == std::cv_status::no_timeout;
+  }
   void NotifyOne() noexcept { cv_.notify_one(); }
   void NotifyAll() noexcept { cv_.notify_all(); }
 

@@ -218,6 +218,7 @@ AppendAck WriteAheadLog::Append(const matrix::RatingTriple& record,
   SyncLocked();
   const auto acked_at = std::chrono::steady_clock::now();
   acked_.push_back(AckedRecord{record, lsn, request_id, acked_at});
+  acked_cv_.NotifyOne();
   if (request_id != 0 && options_.dedup_window > 0) {
     RememberRequestLocked(request_id, lsn);
   }
@@ -237,6 +238,20 @@ std::size_t WriteAheadLog::DrainAcked(std::vector<AckedRecord>* out) {
     acked_.clear();
   }
   return count;
+}
+
+void WriteAheadLog::WaitForAcked(
+    std::chrono::steady_clock::time_point until) {
+  util::MutexLock lock(&mutex_);
+  while (acked_.empty() && !wake_ && acked_cv_.WaitUntil(lock, until)) {
+  }
+  wake_ = false;
+}
+
+void WriteAheadLog::Wake() {
+  util::MutexLock lock(&mutex_);
+  wake_ = true;
+  acked_cv_.NotifyOne();
 }
 
 bool WriteAheadLog::available() const {

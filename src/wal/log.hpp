@@ -20,7 +20,9 @@
 // fsync barrier go through util::WriteAll and util::SyncFile.  Every
 // Append runs the barrier before it returns, so there is one
 // durability rule: a record is acked, and drainable, exactly when it is
-// durable.
+// durable.  The consumer (serve::DeltaFolder) blocks in WaitForAcked;
+// Append wakes it once the record is acked, and Wake() ends its wait at
+// shutdown.
 //
 // Failure discipline is fail-stop: an fsync or rotation failure leaves
 // the log's durability state unknowable, so the log poisons itself and
@@ -80,7 +82,7 @@ struct AppendAck {
 
 /// One durably acknowledged record, as handed to DrainAcked consumers
 /// (the serve::DeltaFolder).  `acked_at` feeds the wal.staleness_us
-/// gauge (ack → visible in predictions).
+/// histogram (ack → visible in predictions).
 struct AckedRecord {
   matrix::RatingTriple record;
   std::uint64_t lsn = 0;
@@ -126,6 +128,18 @@ class WriteAheadLog {
   /// `out` (appended, lsn order).  Returns how many were moved.  Still
   /// valid on a poisoned log — what was acked stays acked.
   std::size_t DrainAcked(std::vector<AckedRecord>* out) CFSF_EXCLUDES(mutex_);
+
+  /// Blocks until an acked record awaits DrainAcked, `until` passes, or
+  /// Wake() has been called since the last WaitForAcked returned.  The
+  /// log has one waiter (the DeltaFolder's loop).  Append wakes it only
+  /// after its fsync, so a woken waiter never drains a record that is
+  /// not durable.
+  void WaitForAcked(std::chrono::steady_clock::time_point until)
+      CFSF_BLOCKING CFSF_EXCLUDES(mutex_);
+  /// Ends the current or next WaitForAcked at once (the waiter's
+  /// shutdown signal).  Sticky, so a wake that lands before the waiter
+  /// parks is not lost.
+  void Wake() CFSF_EXCLUDES(mutex_);
 
   /// False once the log has fail-stopped (or been closed).
   bool available() const CFSF_EXCLUDES(mutex_);
@@ -176,6 +190,10 @@ class WriteAheadLog {
   std::uint64_t durable_lsn_ CFSF_GUARDED_BY(mutex_) = 0;
   /// Fsynced, awaiting DrainAcked.
   std::vector<AckedRecord> acked_ CFSF_GUARDED_BY(mutex_);
+  /// Signalled when acked_ grows or Wake() is called.
+  util::CondVar acked_cv_;
+  /// Set by Wake(), cleared when WaitForAcked returns.
+  bool wake_ CFSF_GUARDED_BY(mutex_) = false;
   /// request id -> lsn of the identified records inside the dedup
   /// window; the fifo (insertion order == lsn order) drives eviction.
   std::unordered_map<std::uint64_t, std::uint64_t> dedup_

@@ -197,10 +197,9 @@ KillOutcome RunWholeLoopIteration(const std::string& wal_dir,
       ckpt::RecoveryResult recovered = ckpt::Recover(recover_options);
 
       serve::ModelGeneration models;
-      serve::DeltaFolderOptions folder_options;
-      folder_options.initial_watermark = recovered.log->next_lsn() - 1;
       serve::DeltaFolder folder(*recovered.log, models,
-                                std::move(recovered.model), folder_options);
+                                std::move(recovered.model),
+                                recovered.log->next_lsn() - 1);
       ckpt::CheckpointOptions ckpt_options;
       ckpt_options.dir = ckpt_dir;
       ckpt_options.keep_last = 2;

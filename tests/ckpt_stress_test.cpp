@@ -6,7 +6,9 @@
 // through the shared active model — followed by a full consistency
 // audit and a cold recovery of whatever the run left on disk.  A second
 // test races FoldOnce against FoldOnce and PublishNow and checks that
-// generations still go live in fold order.
+// generations still go live in fold order.  The last two check that
+// Stop() wakes both background loops at once and that a Stop() racing
+// a loop's first wait is never lost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,9 +100,7 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
         wal::kSegmentHeaderBytes + 16 * wal::kRecordBytes;
     wal::WriteAheadLog log(wal_dir, wal_options);
     serve::ModelGeneration models;
-    serve::DeltaFolderOptions folder_options;
-    folder_options.poll_interval = std::chrono::milliseconds(2);
-    serve::DeltaFolder folder(log, models, seed, folder_options);
+    serve::DeltaFolder folder(log, models, seed);
     folder.PublishNow();
     ckpt::CheckpointOptions ckpt_options;
     ckpt_options.dir = ckpt_dir;
@@ -283,6 +283,97 @@ TEST(DeltaFolderStress, ConcurrentFoldsAndPublishesInstallInFoldOrder) {
               seed_ratings + kFreshCells);
   }
   fs::remove_all(dir);
+}
+
+// Median wall time of Stop() over `cycles` cycles of Start(), a pause
+// long enough for the loop to park in its wait, and Stop().
+template <typename BackgroundLoop>
+double MedianStopMs(BackgroundLoop& loop, int cycles) {
+  std::vector<double> stop_ms;
+  for (int i = 0; i < cycles; ++i) {
+    loop.Start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const auto start = std::chrono::steady_clock::now();
+    loop.Stop();
+    stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  std::nth_element(stop_ms.begin(), stop_ms.begin() + cycles / 2,
+                   stop_ms.end());
+  return stop_ms[cycles / 2];
+}
+
+// Stop() must not wait out a timer: a loop parked in its wait, for the
+// next ack or for an hour-away checkpoint, wakes at once.
+TEST(IngestionLoopStress, StopWakesAParkedLoopAtOnce) {
+  const std::string root =
+      (fs::path(::testing::TempDir()) / "cfsf_loop_stop_prompt").string();
+  fs::remove_all(root);
+  {
+    wal::WriteAheadLog log(root + "/wal");
+    serve::ModelGeneration models;
+    serve::DeltaFolder folder(log, models, TinySeed());
+    ckpt::CheckpointOptions ckpt_options;
+    ckpt_options.dir = root + "/ckpt";
+    ckpt_options.interval = std::chrono::hours(1);
+    ckpt::CheckpointManager manager(folder, log, ckpt_options);
+    EXPECT_LT(MedianStopMs(folder, 20), 5.0);
+    EXPECT_LT(MedianStopMs(manager, 20), 5.0);
+  }
+  fs::remove_all(root);
+}
+
+// Stop() right after Start() lands before, during or after the loop's
+// first wait: first beside an appender, so it also races acks and
+// folds, then with no ack left to end a wait, where a lost wake hangs
+// the test until ctest's timeout.
+TEST(IngestionLoopStress, StopRacingTheFirstWaitIsNeverLost) {
+  const std::string root =
+      (fs::path(::testing::TempDir()) / "cfsf_loop_stop_race").string();
+  fs::remove_all(root);
+  {
+    wal::WriteAheadLog log(root + "/wal");
+    serve::ModelGeneration models;
+    serve::DeltaFolder folder(log, models, TinySeed());
+    ckpt::CheckpointOptions ckpt_options;
+    ckpt_options.dir = root + "/ckpt";
+    ckpt_options.interval = std::chrono::hours(1);
+    ckpt::CheckpointManager manager(folder, log, ckpt_options);
+    const auto start_stop = [&](int cycles) {
+      for (int i = 0; i < cycles; ++i) {
+        folder.Start();
+        manager.Start();
+        manager.Stop();
+        folder.Stop();
+      }
+    };
+
+    std::atomic<bool> appending{true};
+    std::thread appender([&] {
+      for (std::uint32_t i = 0; appending.load(std::memory_order_acquire);
+           ++i) {
+        log.Append(matrix::RatingTriple{i % kUsers, i % kItems,
+                                        static_cast<matrix::Rating>(1 + i % 5),
+                                        0},
+                   /*require_durable=*/true);
+        // Append holds the log's lock across its fsync; a pause lets the
+        // folder's waits and Stop()'s wake take it between appends.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+    start_stop(500);
+    appending.store(false, std::memory_order_release);
+    appender.join();
+    start_stop(500);
+    folder.FoldOnce();  // whatever a Stop() left
+
+    // Every acked record folded exactly once across the folder's 1000
+    // threads.
+    EXPECT_EQ(folder.folded_records(), log.next_lsn() - 1);
+    EXPECT_EQ(folder.fold_watermark(), log.next_lsn() - 1);
+  }
+  fs::remove_all(root);
 }
 
 }  // namespace

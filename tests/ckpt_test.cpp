@@ -319,9 +319,8 @@ TEST_F(CkptTest, FoldWatermarkTracksDrainedRecordsIncludingSkips) {
 TEST_F(CkptTest, InitialWatermarkSeedsTheFolder) {
   wal::WriteAheadLog log(wal_dir_);
   serve::ModelGeneration models;
-  serve::DeltaFolderOptions options;
-  options.initial_watermark = 17;
-  serve::DeltaFolder folder(log, models, TinySeed(), options);
+  serve::DeltaFolder folder(log, models, TinySeed(),
+                            /*initial_watermark=*/17);
   EXPECT_EQ(folder.fold_watermark(), 17u);
 }
 

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "core/cfsf.hpp"
 #include "data/synthetic.hpp"
@@ -26,7 +27,6 @@
 #include "obs/names.hpp"
 #include "serve/model_generation.hpp"
 #include "serve/serving_stack.hpp"
-#include "util/backoff.hpp"
 
 namespace cfsf {
 namespace {
@@ -141,7 +141,7 @@ constexpr const char NetFaultTest::kHealthz[];
 bool DrainedWithin(const net::HttpServer& server, int budget_ms) {
   for (int i = 0; i < budget_ms; ++i) {
     if (server.ActiveConnections() == 0) return true;
-    util::SleepFor(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return server.ActiveConnections() == 0;
 }

@@ -689,13 +689,46 @@ TEST_F(ServeTest, DeltaFolderTimesEachPublishingFold) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(ServeTest, DeltaFolderSamplesStalenessOncePerFoldedRecord) {
+  if (!obs::MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
+  const std::string dir = FreshWalDir("cfsf_serve_delta_staleness");
+  wal::WriteAheadLog log(dir);
+  ModelGeneration models;
+  serve::DeltaFolder folder(log, models, FreshModel());
+  const obs::Histogram& staleness =
+      obs::MetricsRegistry::Global().GetHistogram(obs::names::kWalStalenessUs,
+                                                  obs::LatencyBucketsUs());
+  const std::uint64_t before = staleness.Count();
+
+  // Two in-range records and one out of range: the skipped record never
+  // becomes visible, so it gets no sample.
+  log.Append(matrix::RatingTriple{1, 2, 4.0F, 0}, /*require_durable=*/true);
+  log.Append(matrix::RatingTriple{100000, 2, 4.0F, 0}, /*require_durable=*/true);
+  log.Append(matrix::RatingTriple{3, 4, 2.0F, 0}, /*require_durable=*/true);
+  EXPECT_EQ(folder.FoldOnce(), 3u);
+  EXPECT_EQ(staleness.Count(), before + 2);
+
+  // A failed fold makes nothing visible; its retry samples each record
+  // once.
+  log.Append(matrix::RatingTriple{5, 6, 5.0F, 0}, /*require_durable=*/true);
+  log.Append(matrix::RatingTriple{7, 8, 3.0F, 0}, /*require_durable=*/true);
+  {
+    ScopedFailPoint fp("serve.fold", "once");
+    EXPECT_THROW(folder.FoldOnce(), obs::InjectedFault);
+  }
+  EXPECT_EQ(staleness.Count(), before + 2);
+  EXPECT_EQ(folder.FoldOnce(), 2u);
+  EXPECT_EQ(staleness.Count(), before + 4);
+  EXPECT_EQ(folder.FoldOnce(), 0u);
+  EXPECT_EQ(staleness.Count(), before + 4);
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(ServeTest, DeltaFolderBackgroundThreadPublishesWithoutPrompting) {
   const std::string dir = FreshWalDir("cfsf_serve_delta_bg");
   wal::WriteAheadLog log(dir);
   ModelGeneration models;
-  serve::DeltaFolderOptions folder_options;
-  folder_options.poll_interval = std::chrono::milliseconds(1);
-  serve::DeltaFolder folder(log, models, FreshModel(), folder_options);
+  serve::DeltaFolder folder(log, models, FreshModel());
   folder.PublishNow();
   folder.Start();
   log.Append(matrix::RatingTriple{1, 2, 4.0F, 0}, /*require_durable=*/true);
@@ -705,6 +738,33 @@ TEST_F(ServeTest, DeltaFolderBackgroundThreadPublishesWithoutPrompting) {
   folder.Stop();
   EXPECT_EQ(folder.folded_records(), 1u);
   EXPECT_GE(models.ActiveGeneration(), 2u);
+  std::filesystem::remove_all(dir);
+}
+
+// The failed batch is already drained when the fold throws, so no ack
+// is left to wake the loop: it must retry on its own.
+TEST_F(ServeTest, DeltaFolderBackgroundThreadRetriesAFailedFoldWithoutAnAck) {
+  const std::string dir = FreshWalDir("cfsf_serve_delta_bg_retry");
+  wal::WriteAheadLog log(dir);
+  ModelGeneration models;
+  serve::DeltaFolder folder(log, models, FreshModel());
+  folder.PublishNow();
+  const obs::Counter& failures = obs::MetricsRegistry::Global().GetCounter(
+      obs::names::kWalFoldFailures);
+  const std::uint64_t failures_before = failures.Value();
+  ScopedFailPoint fp("serve.fold", "once");
+  folder.Start();
+  log.Append(matrix::RatingTriple{1, 2, 4.0F, 0}, /*require_durable=*/true);
+  for (int i = 0; i < 2000 && folder.folded_records() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  folder.Stop();
+  EXPECT_EQ(folder.folded_records(), 1u);
+  EXPECT_EQ(folder.fold_watermark(), 1u);
+  EXPECT_EQ(log.next_lsn(), 2u) << "something else was appended";
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(failures.Value(), failures_before + 1);
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -1,7 +1,8 @@
 // Unit tests for cfsf::util — RNG, strings, tables, args, logging, errors,
-// durable files.
+// durable files, CondVar::WaitUntil.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "util/durable_file.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/mutex.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/string_utils.hpp"
@@ -457,6 +459,46 @@ TEST_F(DurableFileTest, AMissingParentDirectoryThrowsAndCreatesNothing) {
 
 TEST_F(DurableFileTest, RemovingAMissingFileThrows) {
   EXPECT_THROW(RemoveFileDurably(dir_, "absent"), IoError);
+}
+
+TEST(CondVarTest, WaitUntilReturnsFalseWhenTheDeadlinePasses) {
+  Mutex mutex;
+  CondVar cv;
+  MutexLock lock(&mutex);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+  // Nothing notifies, so only a spurious wake-up returns true before the
+  // deadline; a WaitUntil that never reported the timeout would spin.
+  int wakeups = 0;
+  while (cv.WaitUntil(lock, deadline) && ++wakeups < 100) {
+  }
+  EXPECT_LT(wakeups, 100);
+  EXPECT_GE(std::chrono::steady_clock::now(), deadline);
+}
+
+TEST(CondVarTest, WaitUntilReturnsTrueWhenNotified) {
+  Mutex mutex;
+  CondVar cv;
+  bool ready = false;
+  bool notified = false;
+  std::thread notifier;
+  {
+    MutexLock lock(&mutex);
+    // Started under the lock, so it can set `ready` only while this
+    // thread waits.  time_point::max() is the wait with no deadline.
+    notifier = std::thread([&] {
+      MutexLock notifier_lock(&mutex);
+      ready = true;
+      cv.NotifyOne();
+    });
+    do {
+      notified = cv.WaitUntil(
+          lock, std::chrono::steady_clock::time_point::max());
+    } while (notified && !ready);
+  }
+  notifier.join();
+  EXPECT_TRUE(notified);
+  EXPECT_TRUE(ready);
 }
 
 }  // namespace

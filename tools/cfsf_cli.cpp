@@ -46,6 +46,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ckpt/checkpoint_manager.hpp"
@@ -66,7 +67,6 @@
 #include "wal/log.hpp"
 #include "wal/replay.hpp"
 #include "util/args.hpp"
-#include "util/backoff.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 #include "util/string_utils.hpp"
@@ -407,7 +407,9 @@ int CmdServeBench(util::ArgParser& args) {
   // Calm traffic until the breaker has climbed back to full fusion.
   for (int i = 0; i < 20000 && stack.breaker().level() != 0; ++i) {
     stack.ServeSync(serve::Request::Predict(0, 0));
-    if (i % 200 == 199) util::SleepFor(std::chrono::milliseconds(1));
+    if (i % 200 == 199) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   auto failures = report.InvariantFailures(options.queue_capacity);
@@ -534,13 +536,10 @@ int CmdServe(util::ArgParser& args) {
   std::unique_ptr<serve::DeltaFolder> folder;
   std::unique_ptr<ckpt::CheckpointManager> checkpoints;
   if (rating_log != nullptr) {
-    serve::DeltaFolderOptions folder_options;
     // Everything the log replayed is already folded into (or recorded
     // as unfoldable against) the recovered model.
-    folder_options.initial_watermark = rating_log->next_lsn() - 1;
-    folder = std::make_unique<serve::DeltaFolder>(*rating_log, models,
-                                                  std::move(model),
-                                                  folder_options);
+    folder = std::make_unique<serve::DeltaFolder>(
+        *rating_log, models, std::move(model), rating_log->next_lsn() - 1);
     folder->PublishNow();
     folder->Start();
     if (!ckpt_dir.empty()) {
@@ -580,7 +579,7 @@ int CmdServe(util::ArgParser& args) {
   std::printf("serve: routes: POST /v1/predict  POST /v1/predict-batch  "
               "POST /v1/rate  GET /v1/top-n  GET /healthz  GET /metrics\n");
   if (duration_ms > 0) {
-    util::SleepFor(std::chrono::milliseconds(duration_ms));
+    std::this_thread::sleep_for(std::chrono::milliseconds(duration_ms));
   } else {
     // Block until stdin closes; serving happens on the server's threads.
     for (int c = std::getchar(); c != EOF; c = std::getchar()) {

@@ -46,11 +46,10 @@
 //   naked-system-exit    std::abort/std::exit/std::terminate in library
 //                        code; recoverable failures must throw.
 //   naked-sleep-in-library  std::this_thread::sleep_for/sleep_until (and
-//                        POSIX usleep/nanosleep) in src/ — wall-clock
-//                        waits in library code must go through
-//                        util::SleepFor (util/backoff.hpp) so every sleep
-//                        is findable from one site; that implementation
-//                        itself is exempt.
+//                        POSIX usleep/nanosleep) in src/ — library code
+//                        has no sleep: a thread waits on a
+//                        util::CondVar for the event it needs, with
+//                        WaitUntil for a deadline, so Stop() can wake it.
 //   raw-durable-io-in-library  fsync/fdatasync/rename/unlink calls and
 //                        std::filesystem rename/remove/remove_all/
 //                        create_directory/create_directories in src/ —
@@ -397,13 +396,12 @@ const std::vector<LineRule>& LineRules() {
        true,
        {"src/util/check"}},
       {"naked-sleep-in-library",
-       "raw sleep in library code; wall-clock waits must go through "
-       "util::SleepFor (util/backoff.hpp) so every sleep is findable from "
-       "one site",
+       "sleep in library code; wait on a util::CondVar (util/mutex.hpp), "
+       "and use WaitUntil for a deadline",
        std::regex(
            R"(\bstd\s*::\s*this_thread\s*::\s*sleep_(for|until)\b|\bsleep_(for|until)\s*\(|\b(usleep|nanosleep)\s*\()"),
        true,
-       {"src/util/backoff"}},
+       {}},
       {"raw-durable-io-in-library",
        "raw fsync/rename/unlink or std::filesystem create/rename/remove in "
        "library code; go through util/durable_file.hpp so one module "
@@ -1023,9 +1021,7 @@ struct CallGraph {
   std::map<std::string, FnAnnotation> annotations;  // by qualified name
 };
 
-// Blocking primitives, matched as called terminal names.  Capitalised
-// entries are the repo's own sanctioned sleep helpers — calling them
-// from a hot path is exactly the bug the rule exists to catch.
+// Blocking primitives, matched as called terminal names.
 const std::set<std::string>& BlockingPrimitiveNames() {
   static const std::set<std::string> names = {
       // durability / file descriptors
@@ -1037,8 +1033,7 @@ const std::set<std::string>& BlockingPrimitiveNames() {
       // sockets
       "recv", "send", "accept", "connect", "poll", "select",
       // sleeps
-      "usleep", "nanosleep", "sleep", "sleep_for", "sleep_until", "SleepFor",
-      "SleepNext",
+      "usleep", "nanosleep", "sleep", "sleep_for", "sleep_until",
       // waits (condition_variable / future); `get` is special-cased on
       // a future-like receiver below to avoid flagging shared_ptr::get
       "wait", "wait_for", "wait_until"};
@@ -2537,12 +2532,12 @@ const std::vector<SelfTestCase>& SelfTestCases() {
        "naked-sleep-in-library"},
       {"usleep in library fires", "src/x.cpp",
        "usleep(100);\n", "naked-sleep-in-library"},
-      {"util::SleepFor clean", "src/x.cpp",
-       "util::SleepFor(std::chrono::milliseconds(5));\n", ""},
+      {"CondVar::WaitUntil clean", "src/x.cpp",
+       "while (!stop_ && cv_.WaitUntil(lock, deadline)) {\n}\n", ""},
       {"raw sleep in tests clean", "tests/x.cpp",
        "std::this_thread::sleep_for(std::chrono::milliseconds(5));\n", ""},
-      {"sleep in backoff home clean", "src/util/backoff.cpp",
-       "std::this_thread::sleep_for(duration);\n", ""},
+      {"sleep in a util helper fires", "src/util/backoff.cpp",
+       "std::this_thread::sleep_for(duration);\n", "naked-sleep-in-library"},
       {"raw fsync in library fires", "src/x.cpp",
        "if (::fsync(fd) != 0) fail();\n", "raw-durable-io-in-library"},
       {"bare rename in library fires", "src/x.cpp",
